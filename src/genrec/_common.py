@@ -14,6 +14,26 @@ def as_vector(x, size: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def as_rows(x, size: int, name: str = "vector") -> np.ndarray:
+    """A vector of length `size`, or a (B, size) block of such vectors."""
+    v = np.ascontiguousarray(x, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {v.shape}")
+    if v.shape[-1] != size:
+        raise ValueError(f"{name} has length {v.shape[-1]}, expected {size}")
+    return v
+
+
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for each row of x (and each matrix of a stacked a).
+
+    Stacked mat-vecs make one BLAS gemv per row, so every row rounds exactly
+    as the single-vector product `a @ x` does; the row-wise gemm `x @ a.T`
+    differs in the last bits.
+    """
+    return (a @ x[..., None])[..., 0]
+
+
 def as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 2:

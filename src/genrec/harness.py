@@ -396,7 +396,7 @@ def _safe_slope_case(rng, n, min_piece=4e-4):
         gc = rng.standard_normal(n)
         t = rng.uniform(0.0, 3.0)
         kinks = theory.relu_path_kinks(hcol, gc)
-        ahead = kinks[kinks > t + min_piece]
+        ahead = kinks[kinks > t]
         behind = kinks[(kinks <= t) & (kinks > t - 1e-12)]
         if behind.size:   # t essentially on a kink; resample
             continue

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._common import as_matrix, as_vector, substream
+from ._common import as_matrix, as_rows, as_vector, matvec, substream
 from .generator import GeneratorNetwork, forward, jacobian
 
 ADMM_L1 = "admm-l1"
@@ -83,6 +83,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown solver config keys {unknown}")
         return cls(**d)
 
 
@@ -121,14 +124,17 @@ def soft_threshold(v, tau: float) -> np.ndarray:
 
 
 def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
+    """Moore-Penrose pseudo-inverse via SVD, of one matrix or of each matrix
+    in a (B, p, q) stack.
 
     Singular values below eps * max(p, q) * sigma_max are treated as zero.
     """
-    a = as_matrix(a, name="A")
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"A must be 2-D or a 3-D stack, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("pseudo_inverse requires finite entries")
-    rcond = np.finfo(np.float64).eps * max(a.shape)
+    rcond = np.finfo(np.float64).eps * max(a.shape[-2:])
     return np.linalg.pinv(a, rcond=rcond)
 
 
@@ -164,6 +170,109 @@ def _check_method(cfg: SolverConfig, *allowed: str) -> None:
         raise ValueError(f"config method {cfg.method!r} does not match solver {allowed}")
 
 
+def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
+    """Validated (M, y) and the (B, k) block of starting points: z0 as one
+    code or a block of codes, or restart 0's draw when z0 is None."""
+    M = as_matrix(M, name="M")
+    y = as_vector(y, M.shape[0], "y")
+    if M.shape[1] != net.n:
+        raise ValueError(f"M has {M.shape[1]} columns, net outputs {net.n}")
+    z = np.array(_initial_z(net, cfg, 0) if z0 is None else as_rows(z0, net.k, "z0"),
+                 ndmin=2)
+    if not len(z):
+        raise ValueError("z0 needs at least one starting point")
+    return M, y, z
+
+
+# Row-wise reductions over a (b, m) block. Dots go through stacked 1 x 1
+# products, so each row rounds as the 1-D `a @ b` and np.linalg.norm do.
+def _l1(r: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(r), axis=-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    return np.all(np.isfinite(a), axis=-1)
+
+
+class _Block:
+    """Per-row bookkeeping for a block of starting points run in lockstep.
+
+    `rows` holds the original indices of the rows still running, in order;
+    the solver keeps its own state compacted to those rows. Each row keeps
+    its result (its last iterate, or with `keep_best` the one with the
+    smallest eps_m) and its stop state. Traces are logged as one entry per
+    iteration and assembled only for the row that wins.
+    """
+
+    def __init__(self, z: np.ndarray, keep_best: bool):
+        self.rows = np.arange(len(z))
+        self.keep_best = keep_best
+        self.z_hat = z.copy()
+        self.eps_m = np.full(len(z), np.nan)
+        self.converged = np.zeros(len(z), dtype=bool)
+        self.errors: dict[int, str] = {}
+        self._log: list[tuple] = []
+
+    def record(self, objective, primal, eps_m, z) -> None:
+        """Log one iteration of the running rows and update their results.
+        `primal` None logs NaN."""
+        self._log.append((self.rows, objective, primal, eps_m))
+        rows = self.rows
+        if self.keep_best and len(self._log) > 1:
+            better = eps_m < self.eps_m[rows]
+            rows, eps_m, z = rows[better], eps_m[better], z[better]
+        self.eps_m[rows] = eps_m
+        self.z_hat[rows] = z
+
+    def stop(self, mask, *state, converged=False, error=None) -> tuple:
+        """Stop the running rows where `mask` holds, as converged or as
+        diverged with `error`, and return `state` compacted to the others."""
+        if not mask.any():
+            return state
+        stopped = self.rows[mask]
+        self.converged[stopped] = converged
+        if error is not None:
+            self.errors.update(dict.fromkeys(stopped.tolist(), error))
+        self.rows = self.rows[~mask]
+        return tuple(v[~mask] for v in state)
+
+    def trace(self, row: int) -> list[TraceRecord]:
+        out = []
+        for q, (rows, objective, primal, eps_m) in enumerate(self._log):
+            pos = int(np.searchsorted(rows, row))
+            if pos == len(rows) or rows[pos] != row:
+                break
+            out.append(TraceRecord(q, float(objective[pos]),
+                                   float("nan") if primal is None else float(primal[pos]),
+                                   float(eps_m[pos])))
+        return out
+
+    def result(self, net: GeneratorNetwork) -> RecoveryResult:
+        """The first row with the smallest eps_m among those that did not
+        diverge; SolverDiverged, with the last row's trace, if all did."""
+        best = None
+        for i in range(len(self.eps_m)):
+            if i not in self.errors and (best is None or self.eps_m[i] < self.eps_m[best]):
+                best = i
+        if best is None:
+            last = len(self.eps_m) - 1
+            raise SolverDiverged(f"all restarts diverged (restart {last}: {self.errors[last]})",
+                                 self.trace(last))
+        trace = self.trace(best)
+        z = self.z_hat[best].copy()
+        return RecoveryResult(z_hat=z, x_hat=forward(net, z), eps_m=float(self.eps_m[best]),
+                              iters_used=len(trace) - 1, trace=trace, restart_index=best,
+                              converged=bool(self.converged[best]))
+
+
 def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
             probe: Callable[[dict], None] | None = None) -> RecoveryResult:
     """Linearized ADMM for min_z ||M G(z) - y||_1.
@@ -176,126 +285,124 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     not be monotone on a nonconvex G, the iterate with the smallest l1
     measurement misfit is returned, not the last one.
 
+    z0 may be a (B, k) block of starting points: the rows run in lockstep,
+    each with its own w, multiplier, best iterate and stopping test, and the
+    best row is returned with its index as restart_index. A row that goes
+    non-finite is dropped; SolverDiverged is raised only if every row does.
+
     `probe`, when given, is called once per iteration with the internal
-    quantities (A, rhs, z_new, w_input, w, lam) for diagnostics.
+    quantities (A, rhs, z_new, w_input, w, lam) for diagnostics; it needs a
+    single starting point.
     """
     _check_method(cfg, ADMM_L1)
-    M = as_matrix(M, name="M")
-    m = M.shape[0]
-    y = as_vector(y, m, "y")
-    if M.shape[1] != net.n:
-        raise ValueError(f"M has {M.shape[1]} columns, net outputs {net.n}")
-
+    M, y, z = _problem(net, M, y, cfg, z0)
+    if probe is not None and len(z) != 1:
+        raise ValueError("probe needs a single starting point")
     rho = cfg.rho
-    tol_primal = cfg.tol_primal if cfg.tol_primal is not None else 1e-6 * math.sqrt(m)
-    z = _initial_z(net, cfg, 0) if z0 is None else as_vector(z0, net.k, "z0").copy()
-    mgz = M @ forward(net, z)
+    tol_primal = cfg.tol_primal if cfg.tol_primal is not None else 1e-6 * math.sqrt(M.shape[0])
+    blk = _Block(z, keep_best=True)
+    mgz = matvec(M, forward(net, z))
     w = mgz - y
-    lam = np.zeros(m)
-
-    eps_m = float(np.sum(np.abs(y - mgz)))
-    best_eps, best_z = eps_m, z.copy()
-    trace = [TraceRecord(0, eps_m, float(np.linalg.norm(mgz - w - y)), eps_m)]
-    converged = False
-    iters = 0
+    lam = np.zeros_like(w)
+    eps_m = _l1(y - mgz)
+    blk.record(eps_m, _norm(mgz - w - y), eps_m, z)
 
     for q in range(1, cfg.max_iters + 1):
         a = M @ jacobian(net, z)
-        rhs = w + y - lam / rho - (mgz - a @ z)
-        z_new = pseudo_inverse(a) @ rhs
-        if not np.all(np.isfinite(z_new)):
-            raise SolverDiverged(f"non-finite z iterate at iteration {q}", trace)
-        mgz_new = M @ forward(net, z_new)
+        rhs = w + y - lam / rho - (mgz - matvec(a, z))
+        z_new = matvec(pseudo_inverse(a), rhs)
+        z, z_new, mgz, w, lam, a, rhs = blk.stop(
+            ~_finite(z_new), z, z_new, mgz, w, lam, a, rhs,
+            error=f"non-finite z iterate at iteration {q}")
+        if not blk.rows.size:
+            break
+        mgz_new = matvec(M, forward(net, z_new))
         w_input = mgz_new - y + lam / rho
         w = soft_threshold(w_input, 1.0 / rho)
         lam = lam + rho * (mgz_new - w - y)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(lam))):
-            raise SolverDiverged(f"non-finite w/lambda at iteration {q}", trace)
+        z, z_new, mgz_new, w_input, w, lam, a, rhs = blk.stop(
+            ~(_finite(w) & _finite(lam)), z, z_new, mgz_new, w_input, w, lam, a, rhs,
+            error=f"non-finite w/lambda at iteration {q}")
+        if not blk.rows.size:
+            break
 
-        primal = float(np.linalg.norm(mgz_new - w - y))
-        eps_m = float(np.sum(np.abs(y - mgz_new)))
-        trace.append(TraceRecord(q, eps_m, primal, eps_m))
+        primal = _norm(mgz_new - w - y)
+        eps_m = _l1(y - mgz_new)
+        blk.record(eps_m, primal, eps_m, z_new)
         if probe is not None:
-            probe({"iteration": q, "A": a, "rhs": rhs, "z_prev": z, "z_new": z_new,
-                   "w_input": w_input, "w": w, "lam": lam, "rho": rho})
+            probe({"iteration": q, "A": a[0], "rhs": rhs[0], "z_prev": z[0],
+                   "z_new": z_new[0], "w_input": w_input[0], "w": w[0], "lam": lam[0],
+                   "rho": rho})
 
-        step = float(np.linalg.norm(z_new - z))
-        z, mgz = z_new, mgz_new
-        iters = q
-        if eps_m < best_eps:
-            best_eps, best_z = eps_m, z.copy()
-        if primal < tol_primal and step < cfg.tol_step:
-            converged = True
+        step = _norm(z_new - z)
+        z, mgz, w, lam = blk.stop((primal < tol_primal) & (step < cfg.tol_step),
+                                  z_new, mgz_new, w, lam, converged=True)
+        if not blk.rows.size:
             break
-
-    return RecoveryResult(z_hat=best_z, x_hat=forward(net, best_z), eps_m=best_eps,
-                          iters_used=iters, trace=trace, converged=converged)
+    return blk.result(net)
 
 
-def _descend(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0,
+def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
              value: Callable, grad: Callable) -> RecoveryResult:
-    """Armijo-backtracked descent with a Barzilai-Borwein trial step.
+    """Armijo-backtracked descent with a Barzilai-Borwein trial step, run in
+    lockstep on the (B, k) block of starting points z.
 
-    `value(z) -> (f, r)` returns the objective and residual M G(z) - y;
-    `grad(z, r) -> g` the (sub)gradient. Accepted steps never increase the
-    objective; iteration stops at max_iters, on ||step|| < tol_step, or when
-    backtracking cannot find any decrease (a nonsmooth stall).
+    `value(z) -> (f, r)` returns the objectives and residuals M G(z) - y of a
+    block of rows; `grad(z, r) -> g` their (sub)gradients. Each row keeps its
+    own objective, gradient and trial step, and stops on its own: at
+    max_iters, on ||step|| < tol_step, when backtracking cannot find any
+    decrease (a nonsmooth stall), or, dropped as diverged, on a non-finite
+    iterate. Accepted steps never increase a row's objective. The row whose
+    last iterate has the smallest eps_m is returned.
     """
-    z = _initial_z(net, cfg, 0) if z0 is None else as_vector(z0, net.k, "z0").copy()
+    blk = _Block(z, keep_best=False)
     f, r = value(z)
-    if not np.isfinite(f):
-        raise SolverDiverged("non-finite objective at the initial point", [])
+    z, f, r = blk.stop(~np.isfinite(f), z, f, r,
+                       error="non-finite objective at the initial point")
     g = grad(z, r)
-    if not np.all(np.isfinite(g)):
-        raise SolverDiverged("non-finite gradient at the initial point", [])
-    eps_m = float(np.sum(np.abs(r)))
-    trace = [TraceRecord(0, f, float("nan"), eps_m)]
-    converged = False
-    iters = 0
+    z, f, r, g = blk.stop(~_finite(g), z, f, r, g,
+                          error="non-finite gradient at the initial point")
+    blk.record(f, None, _l1(r), z)
+    z, f, g = blk.stop(~np.any(g, axis=-1), z, f, g, converged=True)
 
-    if not np.any(g):
-        return RecoveryResult(z_hat=z, x_hat=forward(net, z), eps_m=eps_m,
-                              iters_used=0, trace=trace, converged=True)
-
-    t_trial = cfg.step_init
+    t_trial = np.full(len(z), cfg.step_init)
     for q in range(1, cfg.max_iters + 1):
-        gg = float(g @ g)
-        if gg == 0.0:
-            converged = True
+        if not blk.rows.size:
             break
-        t = t_trial
-        accepted = False
+        gg = _dot(g, g)
+        z, f, g, gg, t_trial = blk.stop(gg == 0.0, z, f, g, gg, t_trial, converged=True)
+        # Backtracking: each pass evaluates only the rows still without a step.
+        t = t_trial.copy()
+        z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), y.size))
+        todo = np.arange(len(z))
         for _ in range(_MAX_BACKTRACKS):
-            z_new = z - t * g
-            f_new, r_new = value(z_new)
-            if np.isfinite(f_new) and f_new <= f - cfg.armijo_c * t * gg:
-                accepted = True
+            z_try = z[todo] - t[todo, None] * g[todo]
+            f_try, r_try = value(z_try)
+            z_new[todo], f_new[todo], r_new[todo] = z_try, f_try, r_try
+            ok = np.isfinite(f_try) & (f_try <= f[todo] - cfg.armijo_c * t[todo] * gg[todo])
+            todo = todo[~ok]
+            if not todo.size:
                 break
-            t *= cfg.armijo_shrink
-        if not accepted:
-            break
+            t[todo] *= cfg.armijo_shrink
+        stalled = np.zeros(len(z), dtype=bool)
+        stalled[todo] = True
+        z, g, z_new, f_new, r_new = blk.stop(stalled, z, g, z_new, f_new, r_new)
         g_new = grad(z_new, r_new)
-        if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(g_new))):
-            raise SolverDiverged(f"non-finite iterate at iteration {q}", trace)
+        z, g, z_new, f_new, r_new, g_new = blk.stop(
+            ~(_finite(z_new) & _finite(g_new)), z, g, z_new, f_new, r_new, g_new,
+            error=f"non-finite iterate at iteration {q}")
 
         s = z_new - z
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 0 and np.isfinite(sy):
-            t_trial = min(max(float(s @ s) / sy, 1e-20), 1e20)
-        else:
-            t_trial = cfg.step_init
+        ss, sy = _dot(s, s), _dot(s, g_new - g)
+        bb = (sy > 0) & np.isfinite(sy)
+        t_trial = np.full(len(z), cfg.step_init)
+        t_trial[bb] = np.minimum(np.maximum(ss[bb] / sy[bb], 1e-20), 1e20)
 
-        step = float(np.linalg.norm(s))
         z, f, g = z_new, f_new, g_new
-        trace.append(TraceRecord(q, f, float("nan"), float(np.sum(np.abs(r_new)))))
-        iters = q
-        if step < cfg.tol_step:
-            converged = True
-            break
-
-    return RecoveryResult(z_hat=z, x_hat=forward(net, z), eps_m=trace[-1].eps_m,
-                          iters_used=iters, trace=trace, converged=converged)
+        blk.record(f, None, _l1(r_new), z)
+        z, f, g, t_trial = blk.stop(np.sqrt(ss) < cfg.tol_step, z, f, g, t_trial,
+                                    converged=True)
+    return blk.result(net)
 
 
 def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> RecoveryResult:
@@ -303,50 +410,46 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> Re
 
     The descent direction comes from the subgradient
     2 ||r||_1 J^T M^T sign(r) with sign(0) = 0; the objective is
-    non-differentiable only on a measure-zero set.
+    non-differentiable only on a measure-zero set. z0 may be a (B, k) block
+    of starting points, as in `_descend`.
     """
     _check_method(cfg, GD_L1SQ)
-    M = as_matrix(M, name="M")
-    y = as_vector(y, M.shape[0], "y")
-    if M.shape[1] != net.n:
-        raise ValueError(f"M has {M.shape[1]} columns, net outputs {net.n}")
+    M, y, z = _problem(net, M, y, cfg, z0)
 
     def value(z):
-        r = M @ forward(net, z) - y
-        l1 = float(np.sum(np.abs(r)))
+        r = matvec(M, forward(net, z)) - y
+        l1 = _l1(r)
         return l1 * l1, r
 
     def grad(z, r):
-        l1 = float(np.sum(np.abs(r)))
-        return 2.0 * l1 * (jacobian(net, z).T @ (M.T @ np.sign(r)))
+        jt = np.swapaxes(jacobian(net, z), -1, -2)
+        return (2.0 * _l1(r))[:, None] * matvec(jt, matvec(M.T, np.sign(r)))
 
-    return _descend(net, M, y, cfg, z0, value, grad)
+    return _descend(net, y, cfg, z, value, grad)
 
 
 def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> RecoveryResult:
     """Gradient descent on ||M G(z) - y||_2^2, plus lambda_reg ||z||_2^2 for
-    the regularized method."""
+    the regularized method. z0 may be a (B, k) block of starting points, as
+    in `_descend`."""
     _check_method(cfg, GD_L2SQ, GD_L2SQ_REG)
-    M = as_matrix(M, name="M")
-    y = as_vector(y, M.shape[0], "y")
-    if M.shape[1] != net.n:
-        raise ValueError(f"M has {M.shape[1]} columns, net outputs {net.n}")
+    M, y, z = _problem(net, M, y, cfg, z0)
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
     def value(z):
-        r = M @ forward(net, z) - y
-        f = float(r @ r)
+        r = matvec(M, forward(net, z)) - y
+        f = _dot(r, r)
         if lam > 0:
-            f += lam * float(z @ z)
+            f = f + lam * _dot(z, z)
         return f, r
 
     def grad(z, r):
-        g = 2.0 * (jacobian(net, z).T @ (M.T @ r))
+        g = 2.0 * matvec(np.swapaxes(jacobian(net, z), -1, -2), matvec(M.T, r))
         if lam > 0:
             g = g + 2.0 * lam * z
         return g
 
-    return _descend(net, M, y, cfg, z0, value, grad)
+    return _descend(net, y, cfg, z, value, grad)
 
 
 _SOLVERS: dict[str, Callable] = {
@@ -362,28 +465,17 @@ def multi_restart(net: GeneratorNetwork, M, y, cfg: SolverConfig,
     """Run cfg.restarts independent starts z0 ~ N(0, init_scale^2 I) and keep
     the result with the smallest l1 measurement misfit.
 
-    Restart i draws from the i-th substream of cfg.seed, so restart 0 equals
-    a single run with the same config. Divergence of individual restarts is
-    tolerated; the error propagates only if every restart diverges.
+    The starts run in lockstep as one (restarts, k) block passed to `solver`
+    as z0; each row stops on its own test, so the result equals running the
+    starts one at a time. Restart i draws from the i-th substream of
+    cfg.seed, so restart 0 equals a single run with the same config. Rows
+    that diverge are dropped; SolverDiverged propagates only if every
+    restart diverges.
     """
     if solver is None:
         solver = _SOLVERS[cfg.method]
-    best: RecoveryResult | None = None
-    last_err: SolverDiverged | None = None
-    for i in range(cfg.restarts):
-        z0 = _initial_z(net, cfg, i)
-        try:
-            res = solver(net, M, y, cfg, z0=z0)
-        except SolverDiverged as err:
-            last_err = err
-            continue
-        res.restart_index = i
-        if best is None or res.eps_m < best.eps_m:
-            best = res
-    if best is None:
-        raise SolverDiverged("all restarts diverged",
-                             last_err.trace if last_err else [])
-    return best
+    z0 = np.stack([_initial_z(net, cfg, i) for i in range(cfg.restarts)])
+    return solver(net, M, y, cfg, z0=z0)
 
 
 def solve(net: GeneratorNetwork, M, y, cfg: SolverConfig) -> RecoveryResult:

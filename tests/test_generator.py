@@ -100,6 +100,25 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(net, np.zeros(4))
 
+    @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
+                                         ("leaky_relu", 0.2)])
+    def test_block_rows_equal_single_calls(self, rng, kind, h):
+        net = random_gaussian_net([5, 30, 60], Activation(kind, h), 4)
+        block = rng.standard_normal((7, 5))
+        out, jac = forward(net, block), jacobian(net, block)
+        assert out.shape == (7, 60) and jac.shape == (7, 60, 5)
+        for i, z in enumerate(block):
+            assert out[i].tobytes() == forward(net, z).tobytes()
+            assert jac[i].tobytes() == jacobian(net, z).tobytes()
+
+    def test_block_shape_validated(self):
+        net = random_gaussian_net([3, 5], Activation("identity"), 0)
+        for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3)), 1.0):
+            with pytest.raises(ValueError):
+                forward(net, bad)
+            with pytest.raises(ValueError):
+                jacobian(net, bad)
+
 
 class TestJacobian:
     def test_single_layer_identity_is_weight_matrix(self, rng):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from genrec import cli
+from genrec import cli, harness
 from genrec.harness import (ExperimentSpec, report_long_format, run_sweep,
                             run_verify, summarize_rows)
 
@@ -183,6 +183,13 @@ class TestRunVerify:
                 "norm_bounds", "l0_roundtrip"} <= names
         saved = json.loads((tmp_path / "manifest.json").read_text())
         assert saved["all_passed"]
+
+    def test_relu_path_slope_has_no_false_failures(self):
+        # A forward difference that straddles a kink used to fail on 14 of
+        # these seeds.
+        failures = [report.failures for seed in range(40)
+                    for report, _ in harness._check_relu_path_slope({}, seed)]
+        assert failures == [0] * 40
 
     def test_rank_deficient_injection_fails(self):
         deficient = np.ones((6, 2)).tolist()  # every row equal: rank 1

@@ -268,9 +268,69 @@ class TestMultiRestart:
         assert res.eps_m == min(per_restart)
         assert res.restart_index == int(np.argmin(per_restart))
 
+    @pytest.mark.parametrize("method, solver", [
+        ("admm-l1", admm_l1), ("gd-l1sq", gd_squared_l1),
+        ("gd-l2sq", gd_squared_l2), ("gd-l2sq-reg", gd_squared_l2)])
+    def test_block_equals_best_of_single_runs(self, method, solver):
+        net = random_gaussian_net([4, 16, 24], Activation("leaky_relu", 0.2), 31)
+        inst = build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2, seed=32),
+                              seed=33)
+        cfg = SolverConfig(method=method, max_iters=150, restarts=6, seed=34,
+                           lambda_reg=0.5 if method == "gd-l2sq-reg" else 0.0)
+        singles = []
+        for i in range(cfg.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence(34, spawn_key=(i,)))
+            z0 = rng.normal(0.0, cfg.init_scale, size=net.k)
+            singles.append(solver(net, inst.M, inst.y, cfg, z0=z0))
+        best = min(range(len(singles)), key=lambda i: singles[i].eps_m)
+        res = multi_restart(net, inst.M, inst.y, cfg)
+        assert res.restart_index == best
+        assert _fields(res) == _fields(singles[best])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method, solver", [
+        ("admm-l1", admm_l1), ("gd-l1sq", gd_squared_l1), ("gd-l2sq", gd_squared_l2)])
+    def test_overflowing_row_is_dropped(self, method, solver):
+        net, inst = linear_outlier_instance(seed=992, m=15, n=20, l=1)
+        cfg = SolverConfig(method=method, max_iters=60)
+        block = np.random.default_rng(35).standard_normal((3, net.k))
+        block[1] = 1e308   # M G(z) overflows: this row diverges at once
+        res = solver(net, inst.M, inst.y, cfg, z0=block)
+        finite = {i: solver(net, inst.M, inst.y, cfg, z0=block[i]) for i in (0, 2)}
+        best = min(finite, key=lambda i: finite[i].eps_m)
+        assert res.restart_index == best
+        assert _fields(res) == _fields(finite[best])
+        with pytest.raises(SolverDiverged):
+            solver(net, inst.M, inst.y, cfg, z0=np.full((2, net.k), 1e308))
+
+    def test_ties_go_to_the_first_row(self):
+        net, inst = linear_outlier_instance(seed=994, m=15, n=20, l=1)
+        z = np.random.default_rng(36).standard_normal(net.k)
+        for method, solver in (("admm-l1", admm_l1), ("gd-l1sq", gd_squared_l1)):
+            cfg = SolverConfig(method=method, max_iters=40)
+            res = solver(net, inst.M, inst.y, cfg, z0=np.stack([z, z]))
+            assert res.restart_index == 0
+
+    def test_block_of_starting_points_validated(self):
+        net, inst = linear_outlier_instance(seed=993, m=15, n=20, l=1)
+        cfg = SolverConfig(method="admm-l1", max_iters=5)
+        for bad in (np.zeros((0, net.k)), np.zeros((2, net.k + 1)), np.zeros((1, 2, net.k))):
+            with pytest.raises(ValueError):
+                admm_l1(net, inst.M, inst.y, cfg, z0=bad)
+        with pytest.raises(ValueError):
+            admm_l1(net, inst.M, inst.y, cfg, z0=np.zeros((2, net.k)), probe=print)
+
     def test_mnist_shaped_config_expressible(self):
         cfg = SolverConfig(method="admm-l1", restarts=10, max_iters=1000)
         assert cfg.restarts == 10 and cfg.max_iters == 1000
+
+
+def _fields(res):
+    """Every field of a result, with arrays as bytes and floats by repr (the
+    NaN primal residuals of GD traces then compare equal)."""
+    return (res.z_hat.tobytes(), res.x_hat.tobytes(), repr(res.eps_m), res.iters_used,
+            res.converged, [tuple(map(repr, (r.iteration, r.objective, r.primal_residual,
+                                             r.eps_m))) for r in res.trace])
 
 
 class TestMetrics:
@@ -330,6 +390,10 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="'rhoo', 'zz'"):
+            SolverConfig.from_dict({"method": "admm-l1", "zz": 1, "rhoo": 2.0})
 
     def test_method_mismatch_rejected(self, rng):
         net = random_gaussian_net([2, 4], Activation("identity"), 0)
