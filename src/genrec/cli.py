@@ -216,7 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        # Input rejected at the boundary (bad config keys or values, malformed
+        # JSON): one line, the exit status argparse uses for usage errors.
+        print(f"genrec: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

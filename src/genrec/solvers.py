@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, substream
-from .generator import GeneratorNetwork, forward, jacobian
+from .generator import GeneratorNetwork, forward, forward_pattern, jacobian
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -202,6 +202,13 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return np.all(np.isfinite(a), axis=-1)
 
 
+def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Rows whose activation pattern differs from the one their cached
+    Jacobian (and M J and its pseudo-inverse) was built for. J depends on z
+    only through the pattern, so the other rows reuse theirs unchanged."""
+    return np.any(cached != pattern, axis=-1)
+
+
 class _Block:
     """Per-row bookkeeping for a block of starting points run in lockstep.
 
@@ -289,6 +296,8 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     each with its own w, multiplier, best iterate and stopping test, and the
     best row is returned with its index as restart_index. A row that goes
     non-finite is dropped; SolverDiverged is raised only if every row does.
+    Each row keeps A = M J(z) and its pseudo-inverse until its activation
+    pattern changes.
 
     `probe`, when given, is called once per iteration with the internal
     quantities (A, rhs, z_new, w_input, w, lam) for diagnostics; it needs a
@@ -301,27 +310,36 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     rho = cfg.rho
     tol_primal = cfg.tol_primal if cfg.tol_primal is not None else 1e-6 * math.sqrt(M.shape[0])
     blk = _Block(z, keep_best=True)
-    mgz = matvec(M, forward(net, z))
+    x, pat = forward_pattern(net, z)
+    mgz = matvec(M, x)
     w = mgz - y
     lam = np.zeros_like(w)
     eps_m = _l1(y - mgz)
     blk.record(eps_m, _norm(mgz - w - y), eps_m, z)
 
+    # Each row's cached A and its pseudo-inverse, rebuilt where `stale`.
+    a = np.empty((len(z), M.shape[0], net.k))
+    a_pinv = np.empty((len(z), net.k, M.shape[0]))
+    stale = np.ones(len(z), dtype=bool)
     for q in range(1, cfg.max_iters + 1):
-        a = M @ jacobian(net, z)
+        if stale.any():
+            a[stale] = M @ jacobian(net, z[stale])
+            a_pinv[stale] = pseudo_inverse(a[stale])
         rhs = w + y - lam / rho - (mgz - matvec(a, z))
-        z_new = matvec(pseudo_inverse(a), rhs)
-        z, z_new, mgz, w, lam, a, rhs = blk.stop(
-            ~_finite(z_new), z, z_new, mgz, w, lam, a, rhs,
+        z_new = matvec(a_pinv, rhs)
+        z, z_new, mgz, pat, w, lam, a, a_pinv, rhs = blk.stop(
+            ~_finite(z_new), z, z_new, mgz, pat, w, lam, a, a_pinv, rhs,
             error=f"non-finite z iterate at iteration {q}")
         if not blk.rows.size:
             break
-        mgz_new = matvec(M, forward(net, z_new))
+        x_new, pat_new = forward_pattern(net, z_new)
+        mgz_new = matvec(M, x_new)
         w_input = mgz_new - y + lam / rho
         w = soft_threshold(w_input, 1.0 / rho)
         lam = lam + rho * (mgz_new - w - y)
-        z, z_new, mgz_new, w_input, w, lam, a, rhs = blk.stop(
-            ~(_finite(w) & _finite(lam)), z, z_new, mgz_new, w_input, w, lam, a, rhs,
+        z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs = blk.stop(
+            ~(_finite(w) & _finite(lam)),
+            z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs,
             error=f"non-finite w/lambda at iteration {q}")
         if not blk.rows.size:
             break
@@ -330,13 +348,16 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         eps_m = _l1(y - mgz_new)
         blk.record(eps_m, primal, eps_m, z_new)
         if probe is not None:
-            probe({"iteration": q, "A": a[0], "rhs": rhs[0], "z_prev": z[0],
+            # A copy: the cached A is overwritten in place when the pattern changes.
+            probe({"iteration": q, "A": a[0].copy(), "rhs": rhs[0], "z_prev": z[0],
                    "z_new": z_new[0], "w_input": w_input[0], "w": w[0], "lam": lam[0],
                    "rho": rho})
 
         step = _norm(z_new - z)
-        z, mgz, w, lam = blk.stop((primal < tol_primal) & (step < cfg.tol_step),
-                                  z_new, mgz_new, w, lam, converged=True)
+        stale = _stale(pat, pat_new)
+        z, mgz, pat, stale, w, lam, a, a_pinv = blk.stop(
+            (primal < tol_primal) & (step < cfg.tol_step),
+            z_new, mgz_new, pat_new, stale, w, lam, a, a_pinv, converged=True)
         if not blk.rows.size:
             break
     return blk.result(net)
@@ -347,38 +368,43 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     """Armijo-backtracked descent with a Barzilai-Borwein trial step, run in
     lockstep on the (B, k) block of starting points z.
 
-    `value(z) -> (f, r)` returns the objectives and residuals M G(z) - y of a
-    block of rows; `grad(z, r) -> g` their (sub)gradients. Each row keeps its
-    own objective, gradient and trial step, and stops on its own: at
-    max_iters, on ||step|| < tol_step, when backtracking cannot find any
-    decrease (a nonsmooth stall), or, dropped as diverged, on a non-finite
-    iterate. Accepted steps never increase a row's objective. The row whose
-    last iterate has the smallest eps_m is returned.
+    `value(z) -> (f, r, pattern)` returns the objectives, residuals
+    M G(z) - y and activation patterns of a block of rows; `grad(z, r, jac)
+    -> g` their (sub)gradients given their Jacobians. Each row keeps its
+    own objective, gradient, trial step and Jacobian, the last recomputed
+    only when an accepted step changes the row's pattern. Each row stops on
+    its own: at max_iters, on ||step|| < tol_step, when backtracking cannot
+    find any decrease (a nonsmooth stall), or, dropped as diverged, on a
+    non-finite iterate. Accepted steps never increase a row's objective. The
+    row whose last iterate has the smallest eps_m is returned.
     """
     blk = _Block(z, keep_best=False)
-    f, r = value(z)
-    z, f, r = blk.stop(~np.isfinite(f), z, f, r,
-                       error="non-finite objective at the initial point")
-    g = grad(z, r)
-    z, f, r, g = blk.stop(~_finite(g), z, f, r, g,
-                          error="non-finite gradient at the initial point")
+    f, r, pat = value(z)
+    z, f, r, pat = blk.stop(~np.isfinite(f), z, f, r, pat,
+                            error="non-finite objective at the initial point")
+    jac = jacobian(net, z)
+    g = grad(z, r, jac)
+    z, f, r, g, pat, jac = blk.stop(~_finite(g), z, f, r, g, pat, jac,
+                                    error="non-finite gradient at the initial point")
     blk.record(f, None, _l1(r), z)
-    z, f, g = blk.stop(~np.any(g, axis=-1), z, f, g, converged=True)
+    z, f, g, pat, jac = blk.stop(~np.any(g, axis=-1), z, f, g, pat, jac, converged=True)
 
     t_trial = np.full(len(z), cfg.step_init)
     for q in range(1, cfg.max_iters + 1):
         if not blk.rows.size:
             break
         gg = _dot(g, g)
-        z, f, g, gg, t_trial = blk.stop(gg == 0.0, z, f, g, gg, t_trial, converged=True)
+        z, f, g, gg, t_trial, pat, jac = blk.stop(gg == 0.0, z, f, g, gg, t_trial, pat, jac,
+                                                  converged=True)
         # Backtracking: each pass evaluates only the rows still without a step.
         t = t_trial.copy()
         z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), y.size))
+        pat_new = np.empty_like(pat)
         todo = np.arange(len(z))
         for _ in range(_MAX_BACKTRACKS):
             z_try = z[todo] - t[todo, None] * g[todo]
-            f_try, r_try = value(z_try)
-            z_new[todo], f_new[todo], r_new[todo] = z_try, f_try, r_try
+            f_try, r_try, pat_try = value(z_try)
+            z_new[todo], f_new[todo], r_new[todo], pat_new[todo] = z_try, f_try, r_try, pat_try
             ok = np.isfinite(f_try) & (f_try <= f[todo] - cfg.armijo_c * t[todo] * gg[todo])
             todo = todo[~ok]
             if not todo.size:
@@ -386,10 +412,14 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             t[todo] *= cfg.armijo_shrink
         stalled = np.zeros(len(z), dtype=bool)
         stalled[todo] = True
-        z, g, z_new, f_new, r_new = blk.stop(stalled, z, g, z_new, f_new, r_new)
-        g_new = grad(z_new, r_new)
-        z, g, z_new, f_new, r_new, g_new = blk.stop(
-            ~(_finite(z_new) & _finite(g_new)), z, g, z_new, f_new, r_new, g_new,
+        z, g, z_new, f_new, r_new, pat, pat_new, jac = blk.stop(
+            stalled, z, g, z_new, f_new, r_new, pat, pat_new, jac)
+        stale = _stale(pat, pat_new)
+        if stale.any():
+            jac[stale] = jacobian(net, z_new[stale])
+        g_new = grad(z_new, r_new, jac)
+        z, g, z_new, f_new, r_new, g_new, pat_new, jac = blk.stop(
+            ~(_finite(z_new) & _finite(g_new)), z, g, z_new, f_new, r_new, g_new, pat_new, jac,
             error=f"non-finite iterate at iteration {q}")
 
         s = z_new - z
@@ -398,10 +428,10 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
         t_trial = np.full(len(z), cfg.step_init)
         t_trial[bb] = np.minimum(np.maximum(ss[bb] / sy[bb], 1e-20), 1e20)
 
-        z, f, g = z_new, f_new, g_new
+        z, f, g, pat = z_new, f_new, g_new, pat_new
         blk.record(f, None, _l1(r_new), z)
-        z, f, g, t_trial = blk.stop(np.sqrt(ss) < cfg.tol_step, z, f, g, t_trial,
-                                    converged=True)
+        z, f, g, t_trial, pat, jac = blk.stop(np.sqrt(ss) < cfg.tol_step,
+                                              z, f, g, t_trial, pat, jac, converged=True)
     return blk.result(net)
 
 
@@ -417,12 +447,13 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> Re
     M, y, z = _problem(net, M, y, cfg, z0)
 
     def value(z):
-        r = matvec(M, forward(net, z)) - y
+        x, pat = forward_pattern(net, z)
+        r = matvec(M, x) - y
         l1 = _l1(r)
-        return l1 * l1, r
+        return l1 * l1, r, pat
 
-    def grad(z, r):
-        jt = np.swapaxes(jacobian(net, z), -1, -2)
+    def grad(z, r, jac):
+        jt = np.swapaxes(jac, -1, -2)
         return (2.0 * _l1(r))[:, None] * matvec(jt, matvec(M.T, np.sign(r)))
 
     return _descend(net, y, cfg, z, value, grad)
@@ -437,14 +468,15 @@ def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> Re
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
     def value(z):
-        r = matvec(M, forward(net, z)) - y
+        x, pat = forward_pattern(net, z)
+        r = matvec(M, x) - y
         f = _dot(r, r)
         if lam > 0:
             f = f + lam * _dot(z, z)
-        return f, r
+        return f, r, pat
 
-    def grad(z, r):
-        g = 2.0 * matvec(np.swapaxes(jacobian(net, z), -1, -2), matvec(M.T, r))
+    def grad(z, r, jac):
+        g = 2.0 * matvec(np.swapaxes(jac, -1, -2), matvec(M.T, r))
         if lam > 0:
             g = g + 2.0 * lam * z
         return g

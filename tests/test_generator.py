@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from genrec.generator import (Activation, GeneratorNetwork, compose_linear,
-                              forward, jacobian, layer_preactivations,
-                              net_from_dict, net_to_dict, random_gaussian_net,
-                              zero_bias)
+                              forward, forward_pattern, jacobian,
+                              layer_preactivations, net_from_dict, net_to_dict,
+                              random_gaussian_net, zero_bias)
 
 from conftest import kink_free, make_linear_net
 
@@ -148,6 +148,42 @@ class TestJacobian:
             fd = central_difference_jacobian(net, z)
             err = np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
             assert err < 1e-5
+
+
+KINDS = [("identity", 1.0), ("relu", 1.0), ("leaky_relu", 0.2)]
+
+
+class TestActivationPattern:
+    @pytest.mark.parametrize("kind, h", KINDS)
+    def test_forward_pattern_matches_forward_and_preactivations(self, rng, kind, h):
+        net = random_gaussian_net([5, 30, 60], Activation(kind, h), 4)
+        block = rng.standard_normal((7, 5))
+        x, pat = forward_pattern(net, block)
+        assert x.tobytes() == forward(net, block).tobytes()
+        assert pat.dtype == bool and pat.shape == (7, 0 if kind == "identity" else 90)
+        pres = layer_preactivations(net, block)
+        for i, z in enumerate(block):
+            x_i, pat_i = forward_pattern(net, z)
+            assert x_i.tobytes() == forward(net, z).tobytes() == x[i].tobytes()
+            assert np.array_equal(pat_i, pat[i])
+            single = layer_preactivations(net, z)
+            assert all(p[i].tobytes() == q.tobytes() for p, q in zip(pres, single))
+            if kind != "identity":
+                assert np.array_equal(pat_i, np.concatenate(single) >= 0)
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    def test_jacobian_depends_only_on_pattern(self, rng, kind, h):
+        net = random_gaussian_net([4, 12, 10, 16], Activation(kind, h), 9)
+        hits = 0
+        while hits < 10:
+            z = rng.standard_normal(4)
+            if not kink_free(net, z):
+                continue
+            hits += 1
+            other = z + 1e-6 * rng.standard_normal(4)
+            assert np.array_equal(forward_pattern(net, z)[1], forward_pattern(net, other)[1])
+            assert forward(net, z).tobytes() != forward(net, other).tobytes()
+            assert jacobian(net, z).tobytes() == jacobian(net, other).tobytes()
 
 
 class TestComposeLinear:

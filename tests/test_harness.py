@@ -253,6 +253,20 @@ class TestCli:
             header = next(csv.reader(fh))
         assert header == ["iter", "objective", "primal_residual", "eps_m"]
 
+    def test_bad_solver_config_is_one_error_line(self, tmp_path, capsys):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rhoo": 2}))
+        assert cli.main(["gen-net", "--dims", "4,12,24", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "20",
+                         "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", "--net", str(net_path), "--instance", str(inst_path),
+                         "--method", "admm-l1", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("genrec: error: ") and "'rhoo'" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_sweep_and_report(self, tmp_path):
         config = tmp_path / "config.json"
         out_dir = tmp_path / "run"

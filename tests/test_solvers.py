@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from genrec import solvers
 from genrec.generator import (Activation, forward, random_gaussian_net,
                               compose_linear, zero_bias)
 from genrec.measurement import MeasurementModel, build_instance
@@ -323,6 +324,52 @@ class TestMultiRestart:
     def test_mnist_shaped_config_expressible(self):
         cfg = SolverConfig(method="admm-l1", restarts=10, max_iters=1000)
         assert cfg.restarts == 10 and cfg.max_iters == 1000
+
+
+class TestPatternCache:
+    """Each row's Jacobian, M J and pseudo-inverse are reused while its
+    activation pattern is unchanged; results must not depend on that."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        original = getattr(solvers, name)
+
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return original(*args)
+        monkeypatch.setattr(solvers, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
+                                         ("leaky_relu", 0.2)])
+    @pytest.mark.parametrize("method", ["admm-l1", "gd-l1sq", "gd-l2sq", "gd-l2sq-reg"])
+    def test_results_equal_recomputing_every_row(self, monkeypatch, kind, h, method):
+        net = random_gaussian_net([4, 16, 24], Activation(kind, h), 37)
+        inst = build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2, seed=38),
+                              seed=39)
+        cfg = SolverConfig(method=method, max_iters=150, restarts=7, seed=40,
+                           lambda_reg=0.5 if method == "gd-l2sq-reg" else 0.0)
+        jac_rows = self._counting(monkeypatch, "jacobian")
+        cached = multi_restart(net, inst.M, inst.y, cfg)
+        rows_cached = sum(jac_rows)
+        monkeypatch.setattr(solvers, "_stale",
+                            lambda _, pattern: np.ones(len(pattern), dtype=bool))
+        jac_rows.clear()
+        plain = multi_restart(net, inst.M, inst.y, cfg)
+        assert (cached.restart_index, _fields(cached)) == (plain.restart_index, _fields(plain))
+        assert rows_cached < sum(jac_rows)
+
+    @pytest.mark.parametrize("method", ["admm-l1", "gd-l1sq"])
+    def test_identity_net_builds_jacobian_once(self, monkeypatch, method):
+        net, inst = linear_outlier_instance(seed=996)
+        jac_rows = self._counting(monkeypatch, "jacobian")
+        pinv_rows = self._counting(monkeypatch, "pseudo_inverse")
+        res = multi_restart(net, inst.M, inst.y,
+                            SolverConfig(method=method, max_iters=1000, restarts=10, seed=41))
+        assert res.iters_used > 1
+        assert jac_rows == [10]
+        assert pinv_rows == ([10] if method == "admm-l1" else [])
 
 
 def _fields(res):
