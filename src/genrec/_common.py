@@ -1,8 +1,15 @@
-"""Small shared array helpers."""
+"""Small shared array, RNG and file helpers."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+# float64 entries per batched block (256 KiB). Batched checks work through
+# their trials in chunks of this many entries, so peak memory does not grow
+# with the trial count.
+BLOCK_ELEMENTS = 1 << 15
 
 
 def as_vector(x, size: int | None = None, name: str = "vector") -> np.ndarray:
@@ -53,6 +60,27 @@ def child_seeds(seed: int, count: int, spawn_key: tuple[int, ...] = ()) -> list[
     return [int(s) for s in ss.generate_state(count, np.uint64)]
 
 
+def row_chunks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices covering range(rows), each of at most
+    BLOCK_ELEMENTS // width rows (at least one)."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 def substream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    """Independent RNG substream addressed by a spawn key."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=spawn_key))
+    """Independent RNG substream addressed by a spawn key.
+
+    The same stream `np.random.default_rng(SeedSequence(...))` gives, built
+    without default_rng's argument dispatch.
+    """
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(int(seed), spawn_key=spawn_key)))
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON raises a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: malformed JSON: {err}") from None

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import __version__
+from ._common import read_json
 from .generator import Activation, load_net, random_gaussian_net, save_net
 from .harness import (ExperimentSpec, report_long_format, run_sweep,
                       run_verify, write_csv)
@@ -43,7 +44,11 @@ def _cmd_gen_net(args) -> int:
 
 def _cmd_gen_instance(args) -> int:
     net = load_net(args.net)
-    lo, hi = (float(v) for v in args.outlier_range.split(","))
+    try:
+        lo, hi = (float(v) for v in args.outlier_range.split(","))
+    except ValueError:
+        raise ValueError("--outlier-range expects two comma-separated numbers lo,hi, "
+                         f"got {args.outlier_range!r}") from None
     model = MeasurementModel(
         m=args.m, n=net.n, matrix_kind=args.matrix,
         outlier_count=args.outliers, outlier_range=(lo, hi),
@@ -57,10 +62,7 @@ def _cmd_gen_instance(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    base = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+    base = read_json(args.config) if args.config else {}
     base["method"] = args.method
     for key in ("rho", "lambda_reg", "max_iters", "restarts", "init_scale",
                 "step_init", "tol_step", "seed"):
@@ -104,8 +106,7 @@ def _cmd_solve(args) -> int:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(args.config)
     if getattr(args, "out", None):
         raw["output_dir"] = args.out
     if getattr(args, "seed", None) is not None:

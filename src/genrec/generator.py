@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_rows, matvec
+from ._common import as_rows, matvec, read_json
 
 IDENTITY = "identity"
 RELU = "relu"
@@ -90,6 +90,9 @@ class GeneratorNetwork:
                 raise ValueError(f"weights[{i}] has shape {w.shape}, expected {want}")
             if b.shape != (dims[i + 1],):
                 raise ValueError(f"biases[{i}] has length {b.shape}, expected {dims[i + 1]}")
+            for name, arr in (("weights", w), ("biases", b)):
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"{name}[{i}] (layer {i + 1}) has non-finite entries")
         for arr in weights + biases:
             arr.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -232,5 +235,4 @@ def save_net(net: GeneratorNetwork, path) -> None:
 
 
 def load_net(path) -> GeneratorNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return net_from_dict(json.load(fh))
+    return net_from_dict(read_json(path))

@@ -9,6 +9,7 @@ row can be reproduced.
 
 from __future__ import annotations
 
+import array
 import csv
 import json
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from ._common import child_seeds, substream
+from ._common import child_seeds, row_chunks, substream
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         net_to_dict, random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
@@ -272,6 +273,7 @@ def _check_gaussian_full_rank(params, seed):
     failures = 0
     total = 0
     min_margin = math.inf
+    # Kept as a loop: the time is in LAPACK, one SVD per matrix either way.
     for si, shape in enumerate(shapes):
         for t in range(trials):
             rng = substream(seed, (si, t))
@@ -309,16 +311,19 @@ def _check_leaky_beta_range(params, seed):
     rng = substream(seed, ())
     failures = 0
     min_margin = math.inf
-    for _ in range(trials):
-        x, y = rng.standard_normal(2)
-        while x == y:
-            x, y = rng.standard_normal(2)
-        h = rng.uniform(1e-6, 1.0)
-        beta = theory.leaky_beta(x, y, h)
-        margin = min(beta - h, 1.0 - beta)
-        min_margin = min(min_margin, margin)
-        if not h <= beta <= 1.0:
-            failures += 1
+    for rows in row_chunks(trials, 3):
+        # One stream for all trials, normal and uniform draws interleaved:
+        # the draws stay a loop, the slopes are one leaky_beta_vector call.
+        draws = array.array("d")
+        for _ in range(rows.start, rows.stop):
+            x, y = rng.standard_normal(2).tolist()
+            while x == y:
+                x, y = rng.standard_normal(2).tolist()
+            draws.extend((x, y, rng.uniform(1e-6, 1.0)))
+        x, y, h = np.frombuffer(draws).reshape(-1, 3).T
+        beta = theory.leaky_beta_vector(x, y, h)
+        min_margin = min(min_margin, float(np.min(np.minimum(beta - h, 1.0 - beta))))
+        failures += int(np.count_nonzero(~((h <= beta) & (beta <= 1.0))))
     return [(theory.ConditionReport(
         "leaky_beta_range", trials, failures, min_margin, {"seed": seed}), True)]
 
@@ -330,18 +335,17 @@ def _check_leaky_layer_lift(params, seed):
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
     failures = 0
     min_margin = math.inf
-    for t in range(pairs):
-        rng = substream(seed, (t,))
-        z = rng.standard_normal(net.k)
-        z0 = rng.standard_normal(net.k)
-        for ratios in theory.leaky_layer_ratios(net, z, z0):
-            finite = ratios[np.isfinite(ratios)]
-            if finite.size == 0:
-                continue
-            margin = float(min(np.min(finite) - h, 1.0 - np.max(finite)))
-            min_margin = min(min_margin, margin)
-            if margin < 0:
-                failures += 1
+    for rows in row_chunks(pairs, 2 * max(net.dims)):
+        zz = np.stack([substream(seed, (t,)).standard_normal((2, net.k))
+                       for t in range(rows.start, rows.stop)])
+        for ratios in theory.leaky_layer_ratios(net, zz[:, 0], zz[:, 1]):
+            finite = np.isfinite(ratios)
+            has = np.any(finite, axis=1)   # a pair-layer with no finite ratio is skipped
+            lo = np.min(np.where(finite, ratios, np.inf), axis=1)[has]
+            hi = np.max(np.where(finite, ratios, -np.inf), axis=1)[has]
+            margin = np.minimum(lo - h, 1.0 - hi)
+            min_margin = min(min_margin, float(np.min(margin, initial=math.inf)))
+            failures += int(np.count_nonzero(margin < 0))
     return [(theory.ConditionReport(
         "leaky_layer_lift", pairs, failures, min_margin,
         {"dims": dims, "h": h, "bias": "gaussian", "seed": seed}), True)]
@@ -372,6 +376,8 @@ def _check_relu_path_slope(params, seed):
     tol = float(params.get("tol", 1e-9))
     failures = 0
     worst = 0.0
+    # Kept as a loop: _safe_slope_case rejects and redraws from the case's
+    # stream, so how many draws a case takes depends on the draws themselves.
     for t in range(cases):
         rng = substream(seed, (t,))
         hcol, gc, tval, eps = _safe_slope_case(rng, n)
@@ -442,12 +448,11 @@ def _check_l0_roundtrip(params, seed):
             mat = np.eye(m)
         grid = theory.latent_grid(1, points=111)
         z0 = grid[int(rng.integers(grid.shape[0]))]
-        zero_tol = None
-        seps = [theory.l0_separation(net, mat, z, z0,
-                                     theory.default_zero_tol(mat @ forward(net, z0)))
-                for z in grid if not np.array_equal(z, z0)]
+        others = grid[np.any(grid != z0, axis=1)]
+        seps = theory.l0_separation(net, mat, others, z0,
+                                    theory.default_zero_tol(mat @ forward(net, z0)))
         predicted = min(seps) >= 2 * l + 1
-        recovered, _ = theory.l0_recovery_bruteforce(net, mat, z0, l, grid, zero_tol)
+        recovered, _ = theory.l0_recovery_bruteforce(net, mat, z0, l, grid)
         if recovered != predicted:
             discrepancies += 1
         details.append({"case": t, "l": l, "min_separation": int(min(seps)),
@@ -474,7 +479,9 @@ def run_verify(spec: ExperimentSpec, workers: int = 1) -> dict:
     """Execute the configured verification checks and build a manifest.
 
     The manifest's all_passed is False iff any required check reported
-    failures. When output_dir is set, writes run.json and manifest.json.
+    failures. check_ms holds each suite entry's wall time in milliseconds,
+    in suite order; it is the manifest's only timing field. When output_dir
+    is set, writes run.json and manifest.json.
     """
     checks = list(spec.checks) if spec.checks is not None else default_checks()
     if spec.checks is None and spec.sweep.get("axis") == "rho_grid":
@@ -482,19 +489,23 @@ def run_verify(spec: ExperimentSpec, workers: int = 1) -> dict:
             if entry["name"] == "k_majority":
                 entry["rho_grid"] = list(spec.sweep["values"])
     reports = []
+    check_ms = []
     for ci, entry in enumerate(checks):
         name = entry["name"]
         if name not in _CHECK_RUNNERS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
         required_default = bool(entry.get("required", True))
         seed = child_seeds(spec.seed, 1, spawn_key=(ci,))[0]
-        for report, required in _CHECK_RUNNERS[name](entry, seed):
+        t0 = time.perf_counter()
+        results = _CHECK_RUNNERS[name](entry, seed)
+        check_ms.append((time.perf_counter() - t0) * 1e3)
+        for report, required in results:
             item = report.to_dict()
             item["required"] = required and required_default
             reports.append(item)
     all_passed = all(not r["required"] or r["failures"] == 0 for r in reports)
     manifest = {"name": spec.name, "seed": spec.seed, "version": __version__,
-                "reports": reports, "all_passed": all_passed}
+                "reports": reports, "all_passed": all_passed, "check_ms": check_ms}
     if spec.output_dir:
         os.makedirs(spec.output_dir, exist_ok=True)
         _write_run_echo(spec, workers)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import as_vector, child_seeds
+from ._common import as_vector, child_seeds, read_json
 from .generator import GeneratorNetwork, forward
 
 GAUSSIAN = "gaussian"
@@ -45,12 +45,25 @@ class MeasurementModel:
             raise ValueError("identity measurement requires m == n")
         if not 0 <= self.outlier_count < self.m:
             raise ValueError(f"need 0 <= outlier_count < m, got {self.outlier_count}")
-        lo, hi = self.outlier_range
-        if lo > hi:
-            raise ValueError(f"outlier range has lo > hi: {self.outlier_range}")
+        lo, hi = _finite_range(self.outlier_range)
         if self.noise_target < 0:
             raise ValueError("noise_target must be >= 0")
-        object.__setattr__(self, "outlier_range", (float(lo), float(hi)))
+        object.__setattr__(self, "outlier_range", (lo, hi))
+
+
+def _finite_range(value_range) -> tuple[float, float]:
+    """(lo, hi) as floats; rejects a range that is malformed, non-finite or
+    has lo > hi."""
+    try:
+        lo, hi = (float(v) for v in value_range)
+    except (TypeError, ValueError):
+        raise ValueError(f"outlier range must be two numbers (lo, hi), "
+                         f"got {value_range!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"outlier range must be finite, got {(lo, hi)}")
+    if lo > hi:
+        raise ValueError(f"outlier range has lo > hi: {(lo, hi)}")
+    return lo, hi
 
 
 def sample_measurement_matrix(model: MeasurementModel) -> np.ndarray:
@@ -71,9 +84,7 @@ def sample_outliers(m: int, count: int, value_range, signed: bool = False,
     """
     if count >= m:
         raise ValueError(f"need count < m, got count={count}, m={m}")
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if lo > hi:
-        raise ValueError(f"value range has lo > hi: {value_range}")
+    lo, hi = _finite_range(value_range)
     e = np.zeros(m)
     if count == 0:
         return e
@@ -226,8 +237,7 @@ def save_instance(inst: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(read_json(path))
 
 
 def reassemble_y(inst: ProblemInstance) -> np.ndarray:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import as_matrix, as_vector, substream
-from .generator import GeneratorNetwork, LEAKY_RELU, forward
-from .solvers import default_zero_tol
+from ._common import as_matrix, as_rows, as_vector, matvec, row_chunks, substream
+from .generator import GeneratorNetwork, LEAKY_RELU, forward, layer_preactivations
+from .solvers import _dot, default_zero_tol
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -57,11 +57,18 @@ def l0_norm(v, zero_tol: float) -> int:
     return int(np.count_nonzero(np.abs(np.asarray(v, dtype=np.float64)) > zero_tol))
 
 
-def l0_separation(net: GeneratorNetwork, M, z, z0, zero_tol: float) -> int:
-    """|| M G(z) - M G(z0) ||_0 counted with threshold zero_tol."""
+def l0_separation(net: GeneratorNetwork, M, z, z0, zero_tol: float):
+    """|| M G(z) - M G(z0) ||_0 counted with threshold zero_tol.
+
+    z is one code, giving an int, or a (B, k) block of codes, giving one
+    count per row.
+    """
     M = as_matrix(M, name="M")
-    diff = M @ forward(net, z) - M @ forward(net, z0)
-    return l0_norm(diff, zero_tol)
+    z = as_rows(z, net.k, "z")
+    diff = matvec(M, forward(net, z)) - M @ forward(net, z0)
+    if z.ndim == 1:
+        return l0_norm(diff, zero_tol)
+    return np.count_nonzero(np.abs(diff) > zero_tol, axis=1)
 
 
 def latent_grid(k: int, points: int = 201, lo: float = -3.0, hi: float = 3.0) -> np.ndarray:
@@ -100,8 +107,8 @@ def l0_recovery_bruteforce(net: GeneratorNetwork, M, z0, l: int, candidate_grid,
         zero_tol = default_zero_tol(mg0)
 
     outputs = np.empty((grid.shape[0], M.shape[0]))
-    for i, z in enumerate(grid):
-        outputs[i] = M @ forward(net, z)
+    for rows in row_chunks(grid.shape[0], max(net.dims + M.shape)):
+        outputs[rows] = matvec(M, forward(net, grid[rows]))
     diffs = outputs - mg0
     seps = np.count_nonzero(np.abs(diffs) > zero_tol, axis=1)
 
@@ -147,11 +154,14 @@ def every_r_rows_full_rank(W, r: int, sv_tol: float | None = None,
 
     failures = 0
     min_sv = math.inf
-    for rows in itertools.combinations(range(n), r):
-        sv = np.linalg.svd(W[list(rows)], compute_uv=False)[-1]
-        min_sv = min(min_sv, float(sv))
-        if sv <= sv_tol:
-            failures += 1
+    subsets = itertools.combinations(range(n), r)
+    for rows in row_chunks(total, r * k):
+        idx = np.array(list(itertools.islice(subsets, rows.stop - rows.start)))
+        # One stacked SVD per chunk; each matrix gets its own LAPACK call,
+        # so its singular values are those of the single-matrix SVD.
+        sv = np.linalg.svd(W[idx], compute_uv=False)[:, -1]
+        min_sv = min(min_sv, float(np.min(sv)))
+        failures += int(np.count_nonzero(sv <= sv_tol))
     return ConditionReport(
         condition_name="every_r_rows_full_rank",
         trials=total, failures=failures, min_margin=min_sv,
@@ -188,6 +198,9 @@ def leaky_beta_vector(a, b, h: float) -> np.ndarray:
     q = np.minimum(a, b)
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = np.clip((p - h * q) / (p - q), h, 1.0)
+    # p == 0 > q: the slope is exactly h, as in leaky_beta; the quotient
+    # (h q) / q can round one ulp above it.
+    beta = np.where(p == 0.0, h, beta)
     beta = np.where((a >= 0.0) & (b >= 0.0), 1.0, beta)
     beta = np.where((a < 0.0) & (b < 0.0), h, beta)
     return np.where(a == b, np.nan, beta)
@@ -199,21 +212,19 @@ def leaky_layer_ratios(net: GeneratorNetwork, z, z0) -> list[np.ndarray]:
     Layer i contributes (sigma(a) - sigma(b)) / (a - b) for the two
     pre-activation vectors a, b reached from z and z0; entries where the
     pre-activations coincide are NaN. All finite entries lie in [h, 1] for a
-    leaky-ReLU net.
+    leaky-ReLU net. z and z0 are two codes, or two (B, k) blocks of codes
+    paired row by row, giving (B, n_i) ratios per layer.
     """
     if net.activation.kind != LEAKY_RELU:
         raise ValueError("layer ratios are defined for leaky-ReLU nets")
-    h = net.activation.h
-    a = as_vector(z, net.k, "z")
-    b = as_vector(z0, net.k, "z0")
-    ratios = []
-    for w, bias in zip(net.weights, net.biases):
-        pre_a = w @ a + bias
-        pre_b = w @ b + bias
-        ratios.append(leaky_beta_vector(pre_a, pre_b, h))
-        a = net.activation.apply(pre_a)
-        b = net.activation.apply(pre_b)
-    return ratios
+    a = as_rows(z, net.k, "z")
+    b = as_rows(z0, net.k, "z0")
+    if a.shape != b.shape:
+        raise ValueError(f"z has shape {a.shape}, z0 has shape {b.shape}")
+    # One pass over a block holding both sides: (2, [B,] n_i) per layer.
+    pres = layer_preactivations(net, np.stack([a, b]).reshape(-1, net.k))
+    return [leaky_beta_vector(*pre.reshape((2,) + a.shape[:-1] + (-1,)), net.activation.h)
+            for pre in pres]
 
 
 def k_majority_condition(net: GeneratorNetwork, r, c, K):
@@ -237,11 +248,13 @@ def k_majority_condition(net: GeneratorNetwork, r, c, K):
 
 def worst_support(delta, size: int) -> np.ndarray:
     """Indices of the `size` largest-|.| entries: the adversarial K, which
-    dominates every other support of the same size."""
+    dominates every other support of the same size. A (B, n) block of
+    deltas gives a (B, size) block of supports, one per row."""
+    delta = np.asarray(delta)
     if size == 0:
-        return np.empty(0, dtype=int)
-    order = np.argsort(-np.abs(np.asarray(delta)), kind="stable")
-    return order[:size]
+        return np.empty(delta.shape[:-1] + (0,), dtype=int)
+    order = np.argsort(-np.abs(delta), axis=-1, kind="stable")
+    return order[..., :size]
 
 
 def estimate_rho_star(net: GeneratorNetwork, trials: int, rho_grid,
@@ -266,22 +279,28 @@ def estimate_rho_star(net: GeneratorNetwork, trials: int, rho_grid,
         size = int(math.floor(rho * net.n))
         failures = 0
         min_margin = math.inf
-        for t in range(trials):
-            rng = substream(seed, (ri, t))
-            r = rng.standard_normal(net.k)
-            c = rng.standard_normal(net.k)
-            while not np.any(c):
-                c = rng.standard_normal(net.k)
-            delta = forward(net, r + c) - forward(net, r)
+        for rows in row_chunks(trials, max(net.dims)):
+            # Draws stay per trial, each from its own substream and in the
+            # original order; everything after them runs on the block.
+            count = rows.stop - rows.start
+            r = np.empty((count, net.k))
+            c = np.empty((count, net.k))
+            idx = np.empty((count, size), dtype=np.intp)
+            for i, t in enumerate(range(rows.start, rows.stop)):
+                rng = substream(seed, (ri, t))
+                r[i] = rng.standard_normal(net.k)
+                c[i] = rng.standard_normal(net.k)
+                while not np.any(c[i]):
+                    c[i] = rng.standard_normal(net.k)
+                if K_mode == "random":
+                    idx[i] = rng.choice(net.n, size=size, replace=False)
+            delta = np.abs(forward(net, r + c) - forward(net, r))
             if K_mode == "worst_by_magnitude":
                 idx = worst_support(delta, size)
-            else:
-                idx = rng.choice(net.n, size=size, replace=False)
-            on_k = float(np.sum(np.abs(delta[idx]))) if size else 0.0
-            margin = float(np.sum(np.abs(delta))) - 2.0 * on_k
-            min_margin = min(min_margin, margin)
-            if margin <= 0.0:
-                failures += 1
+            margin = np.sum(delta, axis=1) - 2.0 * np.sum(
+                np.take_along_axis(delta, idx, axis=1), axis=1)
+            min_margin = min(min_margin, float(np.min(margin)))
+            failures += int(np.count_nonzero(margin <= 0.0))
         reports.append(ConditionReport(
             condition_name="k_majority",
             trials=trials, failures=failures, min_margin=min_margin,
@@ -357,24 +376,28 @@ def norm_bounds_check(H, trials: int, h: float, rho_grid=None,
     max_ratio = 0.0
     adv_max = [0.0] * len(rho_grid)
     failures = 0
-    for t in range(trials):
-        rng = substream(seed, (t,))
-        g = rng.standard_normal(nm)
-        norm = float(np.linalg.norm(g))
-        while norm == 0.0:
-            g = rng.standard_normal(nm)
-            norm = float(np.linalg.norm(g))
-        hv = np.abs(H @ (g / norm))
-        ratio = float(np.sum(hv)) / n
-        if ratio <= 0.0:
-            failures += 1
-        min_ratio = min(min_ratio, ratio)
-        max_ratio = max(max_ratio, ratio)
-        hv_sorted = np.sort(hv)[::-1]
-        csum = np.cumsum(hv_sorted)
+    for rows in row_chunks(trials, n):
+        # Draws stay per trial, each from its own substream; everything after
+        # them runs on the block.
+        g = np.stack([substream(seed, (t,)).standard_normal(nm)
+                      for t in range(rows.start, rows.stop)])
+        norm = np.sqrt(_dot(g, g))   # rounds as np.linalg.norm of each row
+        for i in np.flatnonzero(norm == 0.0):
+            # A zero draw: replay the trial's substream, redrawing until the
+            # norm is nonzero as a single trial does.
+            rng = substream(seed, (rows.start + i,))
+            while norm[i] == 0.0:
+                g[i] = rng.standard_normal(nm)
+                norm[i] = np.linalg.norm(g[i])
+        hv = np.abs(matvec(H, g / norm[:, None]))
+        ratio = np.sum(hv, axis=1) / n
+        failures += int(np.count_nonzero(ratio <= 0.0))
+        min_ratio = min(min_ratio, float(np.min(ratio)))
+        max_ratio = max(max_ratio, float(np.max(ratio)))
+        csum = np.cumsum(np.sort(hv, axis=1)[:, ::-1], axis=1)
         for i, size in enumerate(sizes):
             if size:
-                adv_max[i] = max(adv_max[i], float(csum[size - 1]) / n)
+                adv_max[i] = max(adv_max[i], float(np.max(csum[:, size - 1])) / n)
 
     admissible = [rho for rho, adv in zip(rho_grid, adv_max) if adv < min_ratio / 2.0]
     return ConditionReport(
