@@ -27,10 +27,10 @@ _ACTIVATION_FLAGS = {"identity": "identity", "relu": "relu",
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        dims = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
-        raise SystemExit(f"cannot parse dims {text!r}; expected e.g. 20,500,500,784")
-    return dims
+        raise ValueError(f"cannot parse --dims {text!r}; "
+                         "expected e.g. 20,500,500,784") from None
 
 
 def _cmd_gen_net(args) -> int:
@@ -219,9 +219,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         # Input rejected at the boundary (bad config keys or values, malformed
-        # JSON): one line, the exit status argparse uses for usage errors.
+        # JSON, a file that cannot be read or written): one line, the exit
+        # status argparse uses for usage errors.
         print(f"genrec: error: {err}", file=sys.stderr)
         return 2
 

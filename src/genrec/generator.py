@@ -100,6 +100,12 @@ class GeneratorNetwork:
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "seed", int(self.seed))
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so an unpickled net is checked
+        # again and its arrays are read-only.
+        return GeneratorNetwork, (self.dims, self.weights, self.biases,
+                                  self.activation, self.seed)
+
     @property
     def k(self) -> int:
         return self.dims[0]
@@ -141,10 +147,7 @@ def forward(net: GeneratorNetwork, z) -> np.ndarray:
     z is one code of shape (k,) or a block of codes of shape (B, k); the
     result has shape (n,) or (B, n), each row equal to its own 1-D call.
     """
-    a = as_rows(z, net.k, "z")
-    for w, b in zip(net.weights, net.biases):
-        a = net.activation.apply(matvec(w, a) + b)
-    return a
+    return net.activation.apply(layer_preactivations(net, z)[-1])
 
 
 def layer_preactivations(net: GeneratorNetwork, z) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import array
 import csv
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._common import child_seeds, row_chunks, substream
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
-                        net_to_dict, random_gaussian_net)
+                        random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
 from .solvers import SolverConfig, SolverDiverged, metrics, multi_restart
 from . import theory
@@ -104,7 +105,7 @@ def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
         m=m, n=n,
         matrix_kind=ms.get("matrix_kind", GAUSSIAN),
         outlier_count=l,
-        outlier_range=tuple(ms.get("outlier_range", (5000.0, 10000.0))),
+        outlier_range=ms.get("outlier_range", (5000.0, 10000.0)),
         outlier_signed=bool(ms.get("outlier_signed", False)),
         noise_target=float(ms.get("noise_target", 0.0)),
         seed=model_seed,
@@ -143,13 +144,6 @@ def _run_one_trial(spec: ExperimentSpec, net: GeneratorNetwork, point_idx: int,
     return rows
 
 
-def _trial_task(args) -> list[dict]:
-    spec_dict, net_dict, point_idx, sweep_value, trial = args
-    from .generator import net_from_dict
-    spec = ExperimentSpec.from_dict(spec_dict)
-    return _run_one_trial(spec, net_from_dict(net_dict), point_idx, sweep_value, trial)
-
-
 def run_sweep(spec: ExperimentSpec, workers: int = 1):
     """Run every sweep point x trial x solver; return (rows, summary_rows).
 
@@ -167,22 +161,18 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1):
     tasks = [(pi, value, trial)
              for pi, value in enumerate(spec.sweep["values"])
              for trial in range(spec.trials_per_point)]
-    rows: list[dict] = []
+    run_trial = functools.partial(_run_one_trial, spec, net)
     if workers > 1:
-        net_dict = net_to_dict(net)
-        payloads = [(spec.to_dict(), net_dict, pi, value, trial)
-                    for pi, value, trial in tasks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_trial_task, payloads):
-                rows.extend(chunk)
+            chunks = list(pool.map(run_trial, *zip(*tasks)))
     else:
-        for pi, value, trial in tasks:
-            rows.extend(_run_one_trial(spec, net, pi, value, trial))
+        chunks = list(map(run_trial, *zip(*tasks)))
+    rows = [row for chunk in chunks for row in chunk]
 
     summary = summarize_rows(rows)
     if spec.output_dir:
         os.makedirs(spec.output_dir, exist_ok=True)
-        _write_run_echo(spec, workers)
+        _write_run_echo(spec, workers=workers)
         write_csv(os.path.join(spec.output_dir, "results.csv"), RESULT_COLUMNS, rows)
         write_csv(os.path.join(spec.output_dir, "summary.csv"), SUMMARY_COLUMNS, summary)
     return rows, summary
@@ -235,8 +225,8 @@ def _cell(v):
     return v
 
 
-def _write_run_echo(spec: ExperimentSpec, workers: int) -> None:
-    echo = {"config": spec.to_dict(), "workers": workers, "version": __version__}
+def _write_run_echo(spec: ExperimentSpec, **fields) -> None:
+    echo = {"config": spec.to_dict(), **fields, "version": __version__}
     with open(os.path.join(spec.output_dir, "run.json"), "w", encoding="utf-8") as fh:
         json.dump(echo, fh, indent=2)
 
@@ -475,7 +465,7 @@ _CHECK_RUNNERS = {
 }
 
 
-def run_verify(spec: ExperimentSpec, workers: int = 1) -> dict:
+def run_verify(spec: ExperimentSpec) -> dict:
     """Execute the configured verification checks and build a manifest.
 
     The manifest's all_passed is False iff any required check reported
@@ -508,7 +498,7 @@ def run_verify(spec: ExperimentSpec, workers: int = 1) -> dict:
                 "reports": reports, "all_passed": all_passed, "check_ms": check_ms}
     if spec.output_dir:
         os.makedirs(spec.output_dir, exist_ok=True)
-        _write_run_echo(spec, workers)
+        _write_run_echo(spec)
         with open(os.path.join(spec.output_dir, "manifest.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)

@@ -48,7 +48,6 @@ class SolverConfig:
     armijo_shrink: float = 0.5
     tol_primal: float | None = None  # default 1e-6 * sqrt(m), resolved per run
     tol_step: float = 1e-8
-    zero_tol: float | None = None    # default 1e-8 * (1 + |y|_inf), per run
     seed: int = 0
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class SolverConfig:
             raise ValueError("step_init and tol_step must be > 0")
         if self.tol_primal is not None and self.tol_primal <= 0:
             raise ValueError("tol_primal must be > 0 when given")
-        if self.zero_tol is not None and self.zero_tol <= 0:
-            raise ValueError("zero_tol must be > 0 when given")
         if self.init_scale < 0:
             raise ValueError("init_scale must be >= 0")
 
@@ -78,7 +75,7 @@ class SolverConfig:
             "init_scale": self.init_scale, "step_init": self.step_init,
             "armijo_c": self.armijo_c, "armijo_shrink": self.armijo_shrink,
             "tol_primal": self.tol_primal, "tol_step": self.tol_step,
-            "zero_tol": self.zero_tol, "seed": self.seed,
+            "seed": self.seed,
         }
 
     @classmethod
@@ -508,11 +505,6 @@ def multi_restart(net: GeneratorNetwork, M, y, cfg: SolverConfig,
         solver = _SOLVERS[cfg.method]
     z0 = np.stack([_initial_z(net, cfg, i) for i in range(cfg.restarts)])
     return solver(net, M, y, cfg, z0=z0)
-
-
-def solve(net: GeneratorNetwork, M, y, cfg: SolverConfig) -> RecoveryResult:
-    """Dispatch on cfg.method, honoring cfg.restarts."""
-    return multi_restart(net, M, y, cfg)
 
 
 def write_trace(trace: list[TraceRecord], path) -> None:

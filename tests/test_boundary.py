@@ -9,6 +9,7 @@ import pytest
 from genrec import cli
 from genrec.generator import (Activation, GeneratorNetwork, load_net,
                               random_gaussian_net)
+from genrec.harness import ExperimentSpec, run_sweep
 from genrec.measurement import MeasurementModel, load_instance, sample_outliers
 
 
@@ -84,6 +85,37 @@ class TestOutlierRange:
         err = one_error_line(capsys)
         assert ("--outlier-range expects two comma-separated numbers lo,hi, "
                 f"got '{text}'") in err
+
+
+class TestSweepOutlierRange:
+    @pytest.fixture
+    def config(self, tmp_path):
+        cfg = {"net": {"dims": [2, 6]},
+               "measurement": {"outlier_count": 1, "outlier_range": 5000},
+               "sweep": {"axis": "measurements", "values": [8]},
+               "solvers": [{"method": "gd-l2sq", "max_iters": 5}]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        return cfg, path
+
+    def test_run_sweep_names_the_outlier_range(self, config):
+        with pytest.raises(ValueError, match="outlier range must be two numbers"):
+            run_sweep(ExperimentSpec.from_dict(config[0]))
+
+    def test_cli_sweep_is_one_error_line(self, config, capsys):
+        assert cli.main(["sweep", "--config", str(config[1])]) == 2
+        assert "outlier range" in one_error_line(capsys)
+
+
+class TestCliInputErrors:
+    def test_cli_missing_config_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["verify", "--config", str(missing)]) == 2
+        assert str(missing) in one_error_line(capsys)
+
+    def test_cli_bad_dims_is_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["gen-net", "--dims", "4,x", "--out", str(tmp_path / "n.json")]) == 2
+        assert "--dims '4,x'" in one_error_line(capsys)
 
 
 class TestMalformedJson:

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -266,3 +267,14 @@ class TestSerialization:
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(net.biases, back.biases):
             assert ba.tobytes() == bb.tobytes()
+
+    @pytest.mark.parametrize("activation", [Activation("identity"), Activation("relu"),
+                                            Activation("leaky_relu", 0.2)])
+    def test_pickle_round_trip_is_exact_and_read_only(self, activation):
+        net = random_gaussian_net([3, 5, 4], activation, 7)
+        back = pickle.loads(pickle.dumps(net))
+        assert back.dims == net.dims and back.activation == net.activation
+        assert back.seed == net.seed
+        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
+            assert a.tobytes() == b.tobytes()
+            assert not b.flags.writeable

@@ -71,6 +71,16 @@ class TestRunSweep:
         assert os.path.exists(tmp_path / "summary.csv")
         assert os.path.exists(tmp_path / "run.json")
 
+    def test_run_echo_fields(self, tmp_path):
+        run_sweep(sweep_spec(tmp_path / "sweep"), workers=1)
+        run_verify(verify_spec(tmp_path / "verify", checks=[
+            {"name": "every_r_rows_full_rank", "n": 6, "k": 2, "outliers": 1}]))
+        sweep_echo = json.loads((tmp_path / "sweep" / "run.json").read_text())
+        verify_echo = json.loads((tmp_path / "verify" / "run.json").read_text())
+        assert list(sweep_echo) == ["config", "workers", "version"]
+        assert sweep_echo["workers"] == 1
+        assert list(verify_echo) == ["config", "version"]
+
     def test_csv_schema(self, tmp_path):
         run_sweep(sweep_spec(tmp_path))
         with open(tmp_path / "results.csv", newline="") as fh:
