@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,6 +198,54 @@ def jacobian(net: GeneratorNetwork, z) -> np.ndarray:
     for w, pre in zip(net.weights, layer_preactivations(net, a)):
         jac = net.activation.deriv(pre)[..., None] * (w @ jac)
     return jac
+
+
+class RegionMaps(NamedTuple):
+    """Affine maps of a generator on one activation region (or a block of
+    regions, with a leading batch axis on every array)."""
+
+    P: np.ndarray   # (..., n_1 + ... + n_d, k): pre-activations are P z + p
+    p: np.ndarray   # (..., n_1 + ... + n_d)
+    J: np.ndarray   # (..., n, k): G(z) = J z + g
+    g: np.ndarray   # (..., n)
+
+
+def region_maps(net: GeneratorNetwork, pattern) -> RegionMaps:
+    """The affine maps of `net` on the activation region named by `pattern`.
+
+    An identity, ReLU or leaky-ReLU net is affine on each region of codes
+    sharing one activation pattern (the `forward_pattern` pattern). For
+    every z in the region, the concatenated pre-activations of the layers
+    the pattern covers are P z + p (none for identity nets), and
+    G(z) = J z + g, with J equal to `jacobian` at z. The maps are built from
+    the pattern alone, so two codes with one pattern get the same bytes. A
+    (B, n_1 + ... + n_d) block of patterns gives a block of maps.
+    """
+    pattern = np.asarray(pattern, dtype=bool)
+    width = 0 if net.activation.kind == IDENTITY else sum(net.dims[1:])
+    if pattern.ndim not in (1, 2) or pattern.shape[-1] != width:
+        raise ValueError(f"pattern has shape {pattern.shape}, expected (..., {width})")
+    lead = pattern.shape[:-1]
+    if net.activation.kind == IDENTITY:
+        # Every unit passes with slope 1, as on the ">= 0" side of a kink.
+        pattern = np.ones(lead + (sum(net.dims[1:]),), dtype=bool)
+    low = net.activation.h if net.activation.kind == LEAKY_RELU else 0.0
+    pre_maps, pre_offsets = [], []
+    jac = vec = None
+    start = 0
+    for w, b in zip(net.weights, net.biases):
+        if jac is None:
+            pre_map, pre_off = np.broadcast_to(w, lead + w.shape), np.broadcast_to(b, lead + b.shape)
+        else:
+            pre_map, pre_off = w @ jac, matvec(w, vec) + b
+        pre_maps.append(pre_map)
+        pre_offsets.append(pre_off)
+        d = np.where(pattern[..., start:start + len(b)], 1.0, low)
+        start += len(b)
+        jac, vec = d[..., None] * pre_map, d * pre_off
+    # Identity nets have no pattern, so no pre-activations are returned.
+    return RegionMaps(np.concatenate(pre_maps, axis=-2)[..., :width, :],
+                      np.concatenate(pre_offsets, axis=-1)[..., :width], jac, vec)
 
 
 def compose_linear(net: GeneratorNetwork) -> np.ndarray:

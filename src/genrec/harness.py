@@ -66,6 +66,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        if "sweep" not in d:
+            raise ValueError("experiment config is missing the required key 'sweep'")
         solvers = tuple(SolverConfig.from_dict(s) for s in d.get("solvers", []))
         checks = d.get("checks")
         return cls(
@@ -91,6 +93,8 @@ class ExperimentSpec:
 
 
 def build_net(net_spec: dict) -> GeneratorNetwork:
+    if "dims" not in net_spec:
+        raise ValueError("net config is missing the required key 'net.dims'")
     act = Activation.from_dict(net_spec.get("activation", {"kind": "identity"}))
     return random_gaussian_net(net_spec["dims"], act, int(net_spec.get("seed", 0)))
 
@@ -99,6 +103,8 @@ def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
                        model_seed: int) -> MeasurementModel:
     ms = spec.measurement
     axis = spec.sweep["axis"]
+    if axis == "outliers" and "m" not in ms:
+        raise ValueError("an outliers sweep needs the key 'measurement.m'")
     m = int(sweep_value) if axis == "measurements" else int(ms["m"])
     l = int(sweep_value) if axis == "outliers" else int(ms.get("outlier_count", 0))
     return MeasurementModel(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, substream
-from .generator import GeneratorNetwork, forward, forward_pattern, jacobian
+from .generator import GeneratorNetwork, forward, forward_pattern, jacobian, region_maps
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -53,6 +54,20 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for name in ("max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("rho", "lambda_reg", "init_scale", "step_init", "armijo_c",
+                     "armijo_shrink", "tol_primal", "tol_step"):
+            value = getattr(self, name)
+            if name == "tol_primal" and value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.rho <= 0:
             raise ValueError("rho must be > 0")
         if self.lambda_reg < 0:
@@ -206,6 +221,47 @@ def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return np.any(cached != pattern, axis=-1)
 
 
+# admm_l1 takes the region model (`_evaluate`) on nets whose layered
+# evaluation of M G(z) costs at least this many multiply-adds per row:
+# k n_1 + n_1 n_2 + ... + n_(d-1) n + m n. The cut sits at the crossover
+# measured on [k, w, w] leaky nets (k = 5 and 20, m = w / 2, 100 iterations
+# from random starts, one BLAS thread, B = 1 and B = 10 rows). The ratio of
+# layered to model time per iteration was 0.85-1.02 at w = 100 (16k
+# multiply-adds), 0.97-1.12 at w = 300 (140k) and 1.06-1.38 at w = 400 (245k).
+_REGION_MODEL_MIN_MACS = 200_000
+
+
+def _uses_region_model(net: GeneratorNetwork, m: int) -> bool:
+    macs = sum(a * b for a, b in zip(net.dims, net.dims[1:])) + m * net.n
+    return macs >= _REGION_MODEL_MIN_MACS
+
+
+def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region) -> None:
+    """Refill the `stale` rows of admm_l1's region model in place from their
+    patterns: A = M J and `region` = (P, p, c = M g)."""
+    maps = region_maps(net, pat[stale])
+    a[stale] = M @ maps.J
+    region[0][stale], region[1][stale], region[2][stale] = maps.P, maps.p, matvec(M, maps.g)
+
+
+def _evaluate(net: GeneratorNetwork, M, z, pat, a, region) -> tuple[np.ndarray, np.ndarray]:
+    """M G(z) and the activation pattern of each row of z, through the
+    region model `region` = (P, p, c).
+
+    A row whose pre-activations P z + p keep the pattern its maps were built
+    for stays in that region, where M G(z) = A z + c. Rows that left it go
+    through the layers.
+    """
+    big_p, small_p, c = region
+    pat_new = matvec(big_p, z) + small_p >= 0.0
+    left = np.any(pat_new != pat, axis=-1)
+    mgz = matvec(a, z) + c
+    if left.any():
+        x, pat_new[left] = forward_pattern(net, z[left])
+        mgz[left] = matvec(M, x)
+    return mgz, pat_new
+
+
 class _Block:
     """Per-row bookkeeping for a block of starting points run in lockstep.
 
@@ -238,15 +294,18 @@ class _Block:
 
     def stop(self, mask, *state, converged=False, error=None) -> tuple:
         """Stop the running rows where `mask` holds, as converged or as
-        diverged with `error`, and return `state` compacted to the others."""
+        diverged with `error`, and return `state` compacted to the others.
+        A tuple in `state` is compacted array by array."""
         if not mask.any():
             return state
         stopped = self.rows[mask]
         self.converged[stopped] = converged
         if error is not None:
             self.errors.update(dict.fromkeys(stopped.tolist(), error))
-        self.rows = self.rows[~mask]
-        return tuple(v[~mask] for v in state)
+        keep = ~mask
+        self.rows = self.rows[keep]
+        return tuple(tuple(a[keep] for a in v) if isinstance(v, tuple) else v[keep]
+                     for v in state)
 
     def trace(self, row: int) -> list[TraceRecord]:
         out = []
@@ -296,6 +355,16 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     Each row keeps A = M J(z) and its pseudo-inverse until its activation
     pattern changes.
 
+    On nets above a size cut (`_REGION_MODEL_MIN_MACS`, which the paper's
+    [20,500,500,784] net with m=200 passes and small nets do not), each row
+    also keeps its region's affine maps (`region_maps`): pre-activations
+    P z + p and c = M g, with M G(z) = A z + c on the region. A new iterate
+    whose P z + p keep the row's pattern is evaluated through A z + c; only
+    rows that leave their region go through the layers. Those results
+    differ from layered evaluation in the last bits, but are deterministic
+    and do not depend on the caching. Below the cut every iterate goes
+    through the layers.
+
     `probe`, when given, is called once per iteration with the internal
     quantities (A, rhs, z_new, w_input, w, lam) for diagnostics; it needs a
     single starting point.
@@ -314,29 +383,44 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     eps_m = _l1(y - mgz)
     blk.record(eps_m, _norm(mgz - w - y), eps_m, z)
 
-    # Each row's cached A and its pseudo-inverse, rebuilt where `stale`.
-    a = np.empty((len(z), M.shape[0], net.k))
-    a_pinv = np.empty((len(z), net.k, M.shape[0]))
-    stale = np.ones(len(z), dtype=bool)
+    # Each row's cached A and its pseudo-inverse, and on the region model
+    # also `region` = (P, p, c = M g), empty below the cut; all rebuilt where
+    # `stale`. Below the cut the loop stays the layered one, with no helper
+    # call per iteration, and `stop` takes `region` as one tuple: star-passing
+    # its arrays and calling `_evaluate` made 10-row solves on [5,30,60] nets
+    # 3-9% slower in the benchmark.
+    rows, m = len(z), M.shape[0]
+    a = np.empty((rows, m, net.k))
+    a_pinv = np.empty((rows, net.k, m))
+    region = ()
+    if _uses_region_model(net, m):
+        region = (np.empty((rows, pat.shape[1], net.k)), np.empty(pat.shape), np.empty((rows, m)))
+    stale = np.ones(rows, dtype=bool)
     for q in range(1, cfg.max_iters + 1):
         if stale.any():
-            a[stale] = M @ jacobian(net, z[stale])
+            if region:
+                _rebuild(net, M, pat, stale, a, region)
+            else:
+                a[stale] = M @ jacobian(net, z[stale])
             a_pinv[stale] = pseudo_inverse(a[stale])
         rhs = w + y - lam / rho - (mgz - matvec(a, z))
         z_new = matvec(a_pinv, rhs)
-        z, z_new, mgz, pat, w, lam, a, a_pinv, rhs = blk.stop(
-            ~_finite(z_new), z, z_new, mgz, pat, w, lam, a, a_pinv, rhs,
+        z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region = blk.stop(
+            ~_finite(z_new), z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region,
             error=f"non-finite z iterate at iteration {q}")
         if not blk.rows.size:
             break
-        x_new, pat_new = forward_pattern(net, z_new)
-        mgz_new = matvec(M, x_new)
+        if region:
+            mgz_new, pat_new = _evaluate(net, M, z_new, pat, a, region)
+        else:
+            x_new, pat_new = forward_pattern(net, z_new)
+            mgz_new = matvec(M, x_new)
         w_input = mgz_new - y + lam / rho
         w = soft_threshold(w_input, 1.0 / rho)
         lam = lam + rho * (mgz_new - w - y)
-        z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs = blk.stop(
+        z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region = blk.stop(
             ~(_finite(w) & _finite(lam)),
-            z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs,
+            z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region,
             error=f"non-finite w/lambda at iteration {q}")
         if not blk.rows.size:
             break
@@ -352,9 +436,9 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
 
         step = _norm(z_new - z)
         stale = _stale(pat, pat_new)
-        z, mgz, pat, stale, w, lam, a, a_pinv = blk.stop(
+        z, mgz, pat, stale, w, lam, a, a_pinv, region = blk.stop(
             (primal < tol_primal) & (step < cfg.tol_step),
-            z_new, mgz_new, pat_new, stale, w, lam, a, a_pinv, converged=True)
+            z_new, mgz_new, pat_new, stale, w, lam, a, a_pinv, region, converged=True)
         if not blk.rows.size:
             break
     return blk.result(net)

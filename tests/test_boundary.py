@@ -4,6 +4,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from genrec import cli
@@ -11,6 +12,7 @@ from genrec.generator import (Activation, GeneratorNetwork, load_net,
                               random_gaussian_net)
 from genrec.harness import ExperimentSpec, run_sweep
 from genrec.measurement import MeasurementModel, load_instance, sample_outliers
+from genrec.solvers import SolverConfig
 
 
 def one_error_line(capsys) -> str:
@@ -148,3 +150,71 @@ class TestMalformedJson:
             capsys.readouterr()
             assert cli.main(argv) == 2, argv
             assert f"{bad}: malformed JSON" in one_error_line(capsys), argv
+
+
+class TestSolverConfigValues:
+    @pytest.mark.parametrize("name", ["rho", "lambda_reg", "init_scale", "step_init",
+                                      "tol_step", "tol_primal"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1.0", [1.0], True])
+    def test_non_finite_or_non_numeric_rejected_naming_the_field(self, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+            SolverConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["max_iters", "restarts", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "10", None, math.nan, True])
+    def test_non_integer_counts_rejected_naming_the_field(self, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            SolverConfig(**{name: bad})
+
+    def test_negative_seed_rejected_naming_the_field(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+            SolverConfig(seed=-1)
+
+    def test_numpy_scalars_and_ints_accepted(self):
+        cfg = SolverConfig(rho=np.float64(0.5), lambda_reg=1, max_iters=np.int64(7),
+                           seed=np.uint64(2**63))
+        assert (cfg.rho, cfg.lambda_reg, cfg.max_iters) == (0.5, 1, 7)
+
+    @pytest.mark.parametrize("entry, name", [({"rho": math.nan}, "rho"),
+                                             ({"max_iters": 2.5}, "max_iters")])
+    def test_cli_solve_config_is_one_error_line(self, tmp_path, capsys, entry, name):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(entry))     # json writes NaN as NaN
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", "--net", str(net_path), "--instance", str(inst_path),
+                         "--method", "admm-l1", "--config", str(cfg_path)]) == 2
+        assert f"{name} must be" in one_error_line(capsys)
+
+
+class TestMissingConfigKeys:
+    SWEEP = {"net": {"dims": [2, 6]},
+             "measurement": {"m": 8, "outlier_count": 1},
+             "sweep": {"axis": "outliers", "values": [1]},
+             "solvers": [{"method": "gd-l2sq", "max_iters": 5}]}
+
+    @staticmethod
+    def _without(key):
+        cfg = json.loads(json.dumps(TestMissingConfigKeys.SWEEP))
+        section, _, field = key.rpartition(".")
+        del (cfg[section] if section else cfg)[field]
+        return cfg
+
+    @pytest.mark.parametrize("key", ["sweep", "net.dims", "measurement.m"])
+    def test_run_sweep_names_the_key(self, key):
+        with pytest.raises(ValueError, match=rf"'{key}'"):
+            run_sweep(ExperimentSpec.from_dict(self._without(key)))
+
+    @pytest.mark.parametrize("key", ["sweep", "net.dims", "measurement.m"])
+    def test_cli_sweep_is_one_error_line(self, tmp_path, capsys, key):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self._without(key)))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert f"'{key}'" in one_error_line(capsys)
+
+    def test_complete_config_runs(self):
+        rows, _ = run_sweep(ExperimentSpec.from_dict(self.SWEEP))
+        assert len(rows) == 1

@@ -7,7 +7,7 @@ import pytest
 from genrec.generator import (Activation, GeneratorNetwork, compose_linear,
                               forward, forward_pattern, jacobian,
                               layer_preactivations, net_from_dict, net_to_dict,
-                              random_gaussian_net, zero_bias)
+                              random_gaussian_net, region_maps, zero_bias)
 
 from conftest import kink_free, make_linear_net
 
@@ -185,6 +185,55 @@ class TestActivationPattern:
             assert np.array_equal(forward_pattern(net, z)[1], forward_pattern(net, other)[1])
             assert forward(net, z).tobytes() != forward(net, other).tobytes()
             assert jacobian(net, z).tobytes() == jacobian(net, other).tobytes()
+
+
+class TestRegionMaps:
+    """On its activation region a net is affine: pre-activations P z + p and
+    G(z) = J z + g, with maps built from the pattern alone."""
+
+    # Fixed before measuring: the maps and the layer loop round differently,
+    # by a few ulps of the largest magnitude in a k- to n-term sum.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    @pytest.mark.parametrize("dims", [[5, 30, 60], [4, 12, 10, 16], [3, 7]])
+    def test_maps_reproduce_the_layers(self, rng, kind, h, dims):
+        net = random_gaussian_net(dims, Activation(kind, h), 11)
+        block = rng.standard_normal((6, net.k))
+        x, pat = forward_pattern(net, block)
+        maps = region_maps(net, pat)
+        pres = np.concatenate(layer_preactivations(net, block), axis=-1)
+        covered = pres[:, :pat.shape[1]]   # identity nets have no pattern
+        assert maps.P.shape == (6, pat.shape[1], net.k)
+        assert maps.J.shape == (6, net.n, net.k)
+        pre = np.einsum("bij,bj->bi", maps.P, block) + maps.p
+        out = np.einsum("bij,bj->bi", maps.J, block) + maps.g
+        assert np.allclose(pre, covered, rtol=0, atol=self.TOL * np.abs(pres).max())
+        assert np.allclose(out, x, rtol=0, atol=self.TOL * np.abs(pres).max())
+        assert maps.J.tobytes() == jacobian(net, block).tobytes()
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    def test_codes_sharing_a_pattern_get_the_same_bytes(self, rng, kind, h):
+        net = random_gaussian_net([4, 12, 10, 16], Activation(kind, h), 9)
+        hits = 0
+        while hits < 5:
+            z = rng.standard_normal(4)
+            if not kink_free(net, z):
+                continue
+            hits += 1
+            other = z + 1e-6 * rng.standard_normal(4)
+            pats = forward_pattern(net, np.stack([z, other]))[1]
+            assert np.array_equal(pats[0], pats[1])
+            one, two = region_maps(net, pats[:1]), region_maps(net, pats[1])
+            for a, b in zip(one, two):
+                assert a[0].tobytes() == b.tobytes()
+
+    def test_pattern_width_checked(self):
+        net = random_gaussian_net([3, 5, 7], Activation("relu"), 0)
+        for bad in (np.ones(11, dtype=bool), np.ones((2, 13), dtype=bool),
+                    np.ones((1, 2, 12), dtype=bool)):
+            with pytest.raises(ValueError, match="pattern has shape"):
+                region_maps(net, bad)
 
 
 class TestComposeLinear:

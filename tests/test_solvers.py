@@ -372,6 +372,92 @@ class TestPatternCache:
         assert pinv_rows == ([10] if method == "admm-l1" else [])
 
 
+class TestRegionModel:
+    """On nets above the size cut, admm_l1 evaluates an iterate that stays in
+    its activation region through the region's affine maps. The small nets
+    here take that path with the cut lowered to zero."""
+
+    # Fixed beforehand: both paths run the same iterations, and their
+    # iterates part by rounding alone (the worst gap seen afterwards, over
+    # 108 small solves, was 4e-14 relative).
+    TOL = 1e-10
+
+    @pytest.fixture
+    def model(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_REGION_MODEL_MIN_MACS", 0)
+
+    @staticmethod
+    def _counting_maps(monkeypatch):
+        rows = []
+        original = solvers.region_maps
+
+        def counted(net, pattern):
+            rows.append(len(pattern))
+            return original(net, pattern)
+        monkeypatch.setattr(solvers, "region_maps", counted)
+        return rows
+
+    @staticmethod
+    def _instance(kind, h, seed=37):
+        net = random_gaussian_net([4, 16, 24], Activation(kind, h), seed)
+        return net, build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2,
+                                                         seed=seed + 1), seed=seed + 2)
+
+    def test_cut_separates_paper_scale_from_small_nets(self):
+        def uses(dims, m):
+            return solvers._uses_region_model(
+                random_gaussian_net(dims, Activation("leaky_relu", 0.2), 0), m)
+        assert uses([20, 500, 500, 784], 200)
+        assert not any(uses(dims, m) for dims, m in (([4, 20, 60], 48), ([5, 30, 60], 40),
+                                                     ([4, 16, 24], 18), ([10, 40, 160], 160)))
+
+    @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
+                                         ("leaky_relu", 0.2)])
+    @pytest.mark.parametrize("seed", [37, 51])
+    def test_matches_layered_evaluation(self, monkeypatch, kind, h, seed):
+        net, inst = self._instance(kind, h, seed)
+        cfg = SolverConfig(method="admm-l1", max_iters=150, restarts=7, seed=40)
+        layered = multi_restart(net, inst.M, inst.y, cfg)
+        monkeypatch.setattr(solvers, "_REGION_MODEL_MIN_MACS", 0)
+        maps_rows = self._counting_maps(monkeypatch)
+        model = multi_restart(net, inst.M, inst.y, cfg)
+        assert sum(maps_rows) > 0
+        assert (model.iters_used, model.restart_index, model.converged) == \
+            (layered.iters_used, layered.restart_index, layered.converged)
+        scale = np.linalg.norm(layered.z_hat)
+        assert np.linalg.norm(model.z_hat - layered.z_hat) <= self.TOL * scale
+        assert abs(model.eps_m - layered.eps_m) <= self.TOL * layered.eps_m
+
+    @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
+                                         ("leaky_relu", 0.2)])
+    def test_results_equal_rebuilding_every_row(self, monkeypatch, model, kind, h):
+        net, inst = self._instance(kind, h)
+        cfg = SolverConfig(method="admm-l1", max_iters=150, restarts=7, seed=40)
+        maps_rows = self._counting_maps(monkeypatch)
+        cached = multi_restart(net, inst.M, inst.y, cfg)
+        rows_cached = sum(maps_rows)
+        monkeypatch.setattr(solvers, "_stale",
+                            lambda _, pattern: np.ones(len(pattern), dtype=bool))
+        maps_rows.clear()
+        plain = multi_restart(net, inst.M, inst.y, cfg)
+        assert (cached.restart_index, _fields(cached)) == (plain.restart_index, _fields(plain))
+        assert 0 < rows_cached < sum(maps_rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_row_is_dropped(self, model):
+        net, inst = self._instance("leaky_relu", 0.2)
+        cfg = SolverConfig(method="admm-l1", max_iters=60)
+        block = np.random.default_rng(35).standard_normal((3, net.k))
+        block[1] = 1e308   # M G(z) overflows: this row diverges at once
+        res = admm_l1(net, inst.M, inst.y, cfg, z0=block)
+        finite = {i: admm_l1(net, inst.M, inst.y, cfg, z0=block[i]) for i in (0, 2)}
+        best = min(finite, key=lambda i: finite[i].eps_m)
+        assert res.restart_index == best
+        assert _fields(res) == _fields(finite[best])
+        with pytest.raises(SolverDiverged):
+            admm_l1(net, inst.M, inst.y, cfg, z0=np.full((2, net.k), 1e308))
+
+
 def _fields(res):
     """Every field of a result, with arrays as bytes and floats by repr (the
     NaN primal residuals of GD traces then compare equal)."""
