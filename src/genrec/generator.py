@@ -176,10 +176,14 @@ def forward_pattern(net: GeneratorNetwork, z) -> tuple[np.ndarray, np.ndarray]:
     gives (B, n) outputs and (B, n_1 + ... + n_d) patterns.
     """
     pres = layer_preactivations(net, z)
-    x = net.activation.apply(pres[-1])
+    return net.activation.apply(pres[-1]), activation_pattern(net, pres)
+
+
+def activation_pattern(net: GeneratorNetwork, pres) -> np.ndarray:
+    """The `forward_pattern` pattern from a `layer_preactivations` list."""
     if net.activation.kind == IDENTITY:
-        return x, np.zeros(x.shape[:-1] + (0,), dtype=bool)
-    return x, np.concatenate(pres, axis=-1) >= 0.0
+        return np.zeros(pres[-1].shape[:-1] + (0,), dtype=bool)
+    return np.concatenate(pres, axis=-1) >= 0.0
 
 
 def jacobian(net: GeneratorNetwork, z) -> np.ndarray:

@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +60,9 @@ class ExperimentSpec:
         values = list(self.sweep.get("values", []))
         if not values:
             raise ValueError("sweep values must be nonempty")
+        if axis in ("measurements", "outliers"):
+            for v in values:
+                _integer(v, "each of sweep.values")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.trials_per_point < 1:
@@ -76,8 +80,8 @@ class ExperimentSpec:
             measurement=d.get("measurement", {}),
             sweep=d["sweep"],
             solvers=solvers,
-            trials_per_point=int(d.get("trials_per_point", 1)),
-            seed=int(d.get("seed", 0)),
+            trials_per_point=_integer(d.get("trials_per_point", 1), "trials_per_point"),
+            seed=_integer(d.get("seed", 0), "seed"),
             output_dir=d.get("output_dir"),
             checks=tuple(checks) if checks is not None else None,
         )
@@ -92,11 +96,22 @@ class ExperimentSpec:
         }
 
 
+def _integer(value, key: str) -> int:
+    """`value` as an int. Bools, non-numbers and numbers with a fractional
+    part, which int() would truncate, raise a ValueError naming `key`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_net(net_spec: dict) -> GeneratorNetwork:
     if "dims" not in net_spec:
         raise ValueError("net config is missing the required key 'net.dims'")
     act = Activation.from_dict(net_spec.get("activation", {"kind": "identity"}))
-    return random_gaussian_net(net_spec["dims"], act, int(net_spec.get("seed", 0)))
+    dims = [_integer(w, "each of net.dims") for w in net_spec["dims"]]
+    return random_gaussian_net(dims, act, _integer(net_spec.get("seed", 0), "net.seed"))
 
 
 def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
@@ -105,8 +120,9 @@ def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
     axis = spec.sweep["axis"]
     if axis == "outliers" and "m" not in ms:
         raise ValueError("an outliers sweep needs the key 'measurement.m'")
-    m = int(sweep_value) if axis == "measurements" else int(ms["m"])
-    l = int(sweep_value) if axis == "outliers" else int(ms.get("outlier_count", 0))
+    m = int(sweep_value) if axis == "measurements" else _integer(ms["m"], "measurement.m")
+    l = (int(sweep_value) if axis == "outliers"
+         else _integer(ms.get("outlier_count", 0), "measurement.outlier_count"))
     return MeasurementModel(
         m=m, n=n,
         matrix_kind=ms.get("matrix_kind", GAUSSIAN),
@@ -157,6 +173,8 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1):
     count; all non-timing columns are deterministic functions of the spec.
     When output_dir is set, writes run.json, results.csv, and summary.csv.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     axis = spec.sweep["axis"]
     if axis == "rho_grid":
         raise ValueError("rho_grid sweeps run through run_verify, not run_sweep")

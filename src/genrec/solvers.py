@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, substream
-from .generator import GeneratorNetwork, forward, forward_pattern, jacobian, region_maps
+from .generator import (GeneratorNetwork, activation_pattern, forward, forward_pattern,
+                        jacobian, layer_preactivations, region_maps)
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -230,10 +231,23 @@ def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
 # multiply-adds), 0.97-1.12 at w = 300 (140k) and 1.06-1.38 at w = 400 (245k).
 _REGION_MODEL_MIN_MACS = 200_000
 
+# _descend's backtracking evaluates as many trial steps per pass as keep the
+# pass within this many multiply-adds (`_row_macs` per trial), and at least
+# one. On small nets a pass costs per-call overhead, not arithmetic. CPU time
+# of three README sweeps ([4,20,60] leaky net, 5 restarts, 1 worker, one BLAS
+# thread): 19.3 s at one trial per pass, 10.1-10.7 s at 50k-200k, 11.5 s at
+# 500k and 14.0 s at 1M. The paper-scale net (809k per row) keeps one.
+_LINE_SEARCH_PASS_MACS = 200_000
+
+
+def _row_macs(net: GeneratorNetwork, m: int) -> int:
+    """Multiply-adds of one layered evaluation of M G(z):
+    k n_1 + n_1 n_2 + ... + n_(d-1) n + m n."""
+    return sum(a * b for a, b in zip(net.dims, net.dims[1:])) + m * net.n
+
 
 def _uses_region_model(net: GeneratorNetwork, m: int) -> bool:
-    macs = sum(a * b for a, b in zip(net.dims, net.dims[1:])) + m * net.n
-    return macs >= _REGION_MODEL_MIN_MACS
+    return _row_macs(net, m) >= _REGION_MODEL_MIN_MACS
 
 
 def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region) -> None:
@@ -449,18 +463,27 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     """Armijo-backtracked descent with a Barzilai-Borwein trial step, run in
     lockstep on the (B, k) block of starting points z.
 
-    `value(z) -> (f, r, pattern)` returns the objectives, residuals
-    M G(z) - y and activation patterns of a block of rows; `grad(z, r, jac)
-    -> g` their (sub)gradients given their Jacobians. Each row keeps its
-    own objective, gradient, trial step and Jacobian, the last recomputed
-    only when an accepted step changes the row's pattern. Each row stops on
-    its own: at max_iters, on ||step|| < tol_step, when backtracking cannot
-    find any decrease (a nonsmooth stall), or, dropped as diverged, on a
-    non-finite iterate. Accepted steps never increase a row's objective. The
-    row whose last iterate has the smallest eps_m is returned.
+    `value(z) -> (f, r, pres)` returns the objectives, residuals
+    M G(z) - y and `layer_preactivations` of a block of rows; `grad(z, r,
+    jac) -> g` their (sub)gradients given their Jacobians. Each row keeps
+    its own objective, gradient, trial step and Jacobian, the last
+    recomputed only when an accepted step changes the row's activation
+    pattern. Each row stops on its own: at max_iters, on ||step|| <
+    tol_step, when _MAX_BACKTRACKS trial steps find no decrease (a
+    nonsmooth stall), or, dropped as diverged, on a non-finite iterate.
+    Accepted steps never increase a row's objective. The row whose last
+    iterate has the smallest eps_m is returned.
+
+    Backtracking runs in passes. Each pass evaluates, as one block, the next
+    trial steps t, t s, t s^2, ... (s = armijo_shrink) of every row still
+    without a step, as many per row as keep the pass within
+    `_LINE_SEARCH_PASS_MACS` multiply-adds, and each row takes its first
+    step that passes the Armijo test. `value` treats each row on its own,
+    so this gives the bytes of trying one step at a time.
     """
     blk = _Block(z, keep_best=False)
-    f, r, pat = value(z)
+    f, r, pres = value(z)
+    pat = activation_pattern(net, pres)
     z, f, r, pat = blk.stop(~np.isfinite(f), z, f, r, pat,
                             error="non-finite objective at the initial point")
     jac = jacobian(net, z)
@@ -470,6 +493,7 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     blk.record(f, None, _l1(r), z)
     z, f, g, pat, jac = blk.stop(~np.any(g, axis=-1), z, f, g, pat, jac, converged=True)
 
+    macs = _row_macs(net, y.size)
     t_trial = np.full(len(z), cfg.step_init)
     for q in range(1, cfg.max_iters + 1):
         if not blk.rows.size:
@@ -477,20 +501,28 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
         gg = _dot(g, g)
         z, f, g, gg, t_trial, pat, jac = blk.stop(gg == 0.0, z, f, g, gg, t_trial, pat, jac,
                                                   converged=True)
-        # Backtracking: each pass evaluates only the rows still without a step.
-        t = t_trial.copy()
         z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), y.size))
         pat_new = np.empty_like(pat)
-        todo = np.arange(len(z))
-        for _ in range(_MAX_BACKTRACKS):
-            z_try = z[todo] - t[todo, None] * g[todo]
-            f_try, r_try, pat_try = value(z_try)
-            z_new[todo], f_new[todo], r_new[todo], pat_new[todo] = z_try, f_try, r_try, pat_try
-            ok = np.isfinite(f_try) & (f_try <= f[todo] - cfg.armijo_c * t[todo] * gg[todo])
-            todo = todo[~ok]
-            if not todo.size:
-                break
-            t[todo] *= cfg.armijo_shrink
+        todo, t, tried = np.arange(len(z)), t_trial, 0
+        while todo.size and tried < _MAX_BACKTRACKS:
+            width = min(max(1, _LINE_SEARCH_PASS_MACS // (todo.size * macs)),
+                        _MAX_BACKTRACKS - tried)
+            # Row i's steps t_i, t_i s, t_i s^2, ...: the accumulation
+            # multiplies in turn, as shrinking the step once per trial does.
+            steps = np.empty((todo.size, width))
+            steps[:, 0], steps[:, 1:] = t, cfg.armijo_shrink
+            np.multiply.accumulate(steps, axis=1, out=steps)
+            z_try = (z[todo, None] - steps[..., None] * g[todo, None]).reshape(-1, z.shape[1])
+            f_try, r_try, pres = value(z_try)
+            armijo = f[todo, None] - cfg.armijo_c * steps * gg[todo, None]
+            ok = (np.isfinite(f_try) & (f_try <= armijo.ravel())).reshape(steps.shape)
+            hit = ok.any(axis=1)
+            pick = (np.arange(0, ok.size, width) + ok.argmax(axis=1))[hit]
+            done = todo[hit]
+            z_new[done], f_new[done], r_new[done] = z_try[pick], f_try[pick], r_try[pick]
+            pat_new[done] = activation_pattern(net, [pre[pick] for pre in pres])
+            todo, t = todo[~hit], steps[~hit, -1] * cfg.armijo_shrink
+            tried += width
         stalled = np.zeros(len(z), dtype=bool)
         stalled[todo] = True
         z, g, z_new, f_new, r_new, pat, pat_new, jac = blk.stop(
@@ -528,10 +560,10 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> Re
     M, y, z = _problem(net, M, y, cfg, z0)
 
     def value(z):
-        x, pat = forward_pattern(net, z)
-        r = matvec(M, x) - y
+        pres = layer_preactivations(net, z)
+        r = matvec(M, net.activation.apply(pres[-1])) - y
         l1 = _l1(r)
-        return l1 * l1, r, pat
+        return l1 * l1, r, pres
 
     def grad(z, r, jac):
         jt = np.swapaxes(jac, -1, -2)
@@ -549,12 +581,12 @@ def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> Re
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
     def value(z):
-        x, pat = forward_pattern(net, z)
-        r = matvec(M, x) - y
+        pres = layer_preactivations(net, z)
+        r = matvec(M, net.activation.apply(pres[-1])) - y
         f = _dot(r, r)
         if lam > 0:
             f = f + lam * _dot(z, z)
-        return f, r, pat
+        return f, r, pres
 
     def grad(z, r, jac):
         g = 2.0 * matvec(np.swapaxes(jac, -1, -2), matvec(M.T, r))

@@ -218,3 +218,77 @@ class TestMissingConfigKeys:
     def test_complete_config_runs(self):
         rows, _ = run_sweep(ExperimentSpec.from_dict(self.SWEEP))
         assert len(rows) == 1
+
+
+def _tiny_sweep(**overrides):
+    cfg = {"net": {"dims": [2, 6]}, "measurement": {"outlier_count": 1},
+           "sweep": {"axis": "measurements", "values": [8]},
+           "solvers": [{"method": "gd-l2sq", "max_iters": 5}]}
+    for key, value in overrides.items():
+        section, _, field = key.partition(".")
+        if field:
+            cfg[section] = dict(cfg[section], **{field: value})
+        else:
+            cfg[key] = value
+    return cfg
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize("workers", [0, -4, True, 1.5, "2"])
+    def test_run_sweep_names_workers(self, tmp_path, workers):
+        spec = ExperimentSpec.from_dict(_tiny_sweep(output_dir=str(tmp_path / "run")))
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            run_sweep(spec, workers=workers)
+        assert not (tmp_path / "run").exists()   # nothing ran, no run.json echo
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_cli_sweep_is_one_error_line(self, tmp_path, capsys, workers):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep()))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "run"),
+                         "--workers", workers]) == 2
+        assert f"workers must be an integer >= 1, got {workers}" in one_error_line(capsys)
+
+
+class TestIntegerConfigValues:
+    """int() would truncate these values; they are rejected instead."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sweep": {"axis": "measurements", "values": [8, 10.5]}},
+         "each of sweep.values must be an integer, got 10.5"),
+        ({"sweep": {"axis": "outliers", "values": [True]}},
+         "each of sweep.values must be an integer, got True"),
+        ({"trials_per_point": 1.9}, "trials_per_point must be an integer, got 1.9"),
+        ({"trials_per_point": True}, "trials_per_point must be an integer, got True"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"net.dims": [2, 6.5]}, "each of net.dims must be an integer, got 6.5"),
+        ({"net.seed": 0.5}, "net.seed must be an integer, got 0.5"),
+        ({"measurement.m": 8.5, "sweep": {"axis": "outliers", "values": [0, 1]}},
+         "measurement.m must be an integer, got 8.5"),
+        ({"measurement.outlier_count": 1.5},
+         "measurement.outlier_count must be an integer, got 1.5")])
+    def test_names_the_key_and_value(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_sweep(ExperimentSpec.from_dict(_tiny_sweep(**overrides)))
+
+    def test_cli_sweep_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep(trials_per_point=1.9)))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "trials_per_point must be an integer, got 1.9" in one_error_line(capsys)
+
+    def test_integral_floats_run_as_before(self, tmp_path):
+        exact = _tiny_sweep(trials_per_point=2, output_dir=str(tmp_path / "int"))
+        floats = _tiny_sweep(trials_per_point=2.0, seed=0.0,
+                             sweep={"axis": "measurements", "values": [8.0]},
+                             output_dir=str(tmp_path / "float"),
+                             **{"measurement.outlier_count": 1.0})
+        rows_int, _ = run_sweep(ExperimentSpec.from_dict(exact))
+        rows_float, _ = run_sweep(ExperimentSpec.from_dict(floats))
+        # The sweep value is reported as given, as before; m is 8 either way.
+        assert [r["sweep_value"] for r in rows_float] == [8.0, 8.0]
+        drop = ("sweep_value", "wall_ms")
+        assert [{k: v for k, v in r.items() if k not in drop} for r in rows_float] == \
+            [{k: v for k, v in r.items() if k not in drop} for r in rows_int]
+        echo = json.loads((tmp_path / "float" / "run.json").read_text())["config"]
+        assert (echo["trials_per_point"], echo["seed"]) == (2, 0)

@@ -458,6 +458,133 @@ class TestRegionModel:
             admm_l1(net, inst.M, inst.y, cfg, z0=np.full((2, net.k), 1e308))
 
 
+class TestBatchedLineSearch:
+    """_descend evaluates several Armijo trial steps of every row per pass;
+    results must equal trying one step per pass (the pass budget at 0)."""
+
+    # Fixed before the batched search was written; one step per pass took
+    # 7.5 (gd-l1sq) and 8.1 (gd-l2sq) passes per iteration on the README sweep.
+    MAX_PASSES_PER_ITER = 3.0
+
+    @pytest.fixture
+    def one_step(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_LINE_SEARCH_PASS_MACS", 0)
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Per solve: the objectives returned by each `value` call and the
+        number of `grad` calls (one at the start, then one per iteration)."""
+        solves = []
+        original = solvers._descend
+
+        def descend(net, y, cfg, z, value, grad):
+            calls = {"f": [], "grad": 0}
+            solves.append(calls)
+
+            def counted_value(z):
+                out = value(z)
+                calls["f"].append(out[0])
+                return out
+
+            def counted_grad(*args):
+                calls["grad"] += 1
+                return grad(*args)
+            return original(net, y, cfg, z, counted_value, counted_grad)
+        monkeypatch.setattr(solvers, "_descend", descend)
+        return solves
+
+    @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
+                                         ("leaky_relu", 0.2)])
+    @pytest.mark.parametrize("method", ["gd-l1sq", "gd-l2sq", "gd-l2sq-reg"])
+    def test_results_equal_one_step_per_pass(self, monkeypatch, kind, h, method):
+        net = random_gaussian_net([4, 16, 24], Activation(kind, h), 37)
+        inst = build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2, seed=38),
+                              seed=39)
+        cfg = SolverConfig(method=method, max_iters=150, restarts=7, seed=40,
+                           lambda_reg=0.5 if method == "gd-l2sq-reg" else 0.0)
+        solves = self._counting(monkeypatch)
+        batched = multi_restart(net, inst.M, inst.y, cfg)
+        monkeypatch.setattr(solvers, "_LINE_SEARCH_PASS_MACS", 0)
+        single = multi_restart(net, inst.M, inst.y, cfg)
+        assert (batched.restart_index, _fields(batched)) == (single.restart_index,
+                                                             _fields(single))
+        assert solves[0]["grad"] == solves[1]["grad"]
+        assert len(solves[0]["f"]) < len(solves[1]["f"])
+
+    @pytest.mark.parametrize("width", [30, 7, 100])
+    def test_stall_stops_after_the_trial_cap(self, monkeypatch, width):
+        # Every trial point scores 2 against 1 at the start, so each row
+        # tries exactly _MAX_BACKTRACKS steps and stops, not converged.
+        net = make_linear_net([np.eye(2)])
+        y, rows = np.zeros(3), 3
+        monkeypatch.setattr(solvers, "_LINE_SEARCH_PASS_MACS",
+                            width * rows * solvers._row_macs(net, y.size))
+        tried = []
+
+        def value(z):
+            tried.append(z.copy())
+            r = np.zeros((len(z), y.size))
+            return np.where(np.any(z, axis=-1), 2.0, 1.0), r, [z.copy()]
+
+        # A shrink factor that is not a power of 2, so t s^j can differ from
+        # multiplying by s j times.
+        cfg = SolverConfig(method="gd-l1sq", step_init=8.0, armijo_shrink=0.7, max_iters=5)
+        res = solvers._descend(net, y, cfg, np.zeros((rows, 2)), value,
+                               lambda z, r, jac: np.ones_like(z))
+        assert (res.iters_used, res.converged, res.restart_index) == (0, False, 0)
+        passes = tried[1:]
+        assert [len(p) // rows for p in passes] == \
+            [width] * (100 // width) + ([100 % width] if 100 % width else [])
+        steps = [8.0]
+        for _ in range(99):
+            steps.append(steps[-1] * cfg.armijo_shrink)
+        per_row = np.concatenate([-p[:, 0].reshape(rows, -1) for p in passes], axis=1)
+        assert per_row.tobytes() == np.tile(steps, (rows, 1)).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method, solver, scale", [("gd-l1sq", gd_squared_l1, 1e150),
+                                                       ("gd-l2sq", gd_squared_l2, 1e152)])
+    def test_row_with_overflowing_trials_is_dropped(self, monkeypatch, method, solver,
+                                                    scale):
+        net, inst = linear_outlier_instance(seed=992, m=15, n=20, l=1)
+        cfg = SolverConfig(method=method, max_iters=60)
+        block = np.random.default_rng(35).standard_normal((3, net.k))
+        block[1] *= scale   # finite at the start, every trial step overflows
+        solves = self._counting(monkeypatch)
+        res = solver(net, inst.M, inst.y, cfg, z0=block)
+        assert np.isfinite(solves[0]["f"][0][1])
+        assert not np.isfinite(solves[0]["f"][1]).all()
+        finite = {i: solver(net, inst.M, inst.y, cfg, z0=block[i]) for i in (0, 2)}
+        best = min(finite, key=lambda i: finite[i].eps_m)
+        assert res.restart_index == best
+        assert _fields(res) == _fields(finite[best])
+        monkeypatch.setattr(solvers, "_LINE_SEARCH_PASS_MACS", 0)
+        single = solver(net, inst.M, inst.y, cfg, z0=block)
+        assert (res.restart_index, _fields(res)) == (single.restart_index, _fields(single))
+
+    @pytest.mark.parametrize("method", ["gd-l1sq", "gd-l2sq"])
+    def test_few_passes_per_iteration_on_the_readme_sweep(self, monkeypatch, method):
+        solves = self._counting(monkeypatch)
+        batched = self._readme_passes_per_iteration(method, solves)
+        monkeypatch.setattr(solvers, "_LINE_SEARCH_PASS_MACS", 0)
+        single = self._readme_passes_per_iteration(method, solves)
+        assert batched < self.MAX_PASSES_PER_ITER < single
+
+    @staticmethod
+    def _readme_passes_per_iteration(method, solves):
+        """Trial passes per iteration over README-sweep-shaped solves."""
+        solves.clear()
+        net = random_gaussian_net([4, 20, 60], Activation("leaky_relu", 0.2), 3)
+        for m, seed in ((10, 41), (28, 42), (48, 43)):
+            inst = build_instance(net, MeasurementModel(m=m, n=60, outlier_count=3,
+                                                        seed=seed), seed=seed + 100)
+            multi_restart(net, inst.M, inst.y,
+                          SolverConfig(method=method, max_iters=400, restarts=5, seed=seed))
+        # Each solve makes one value call and one grad call before iterating.
+        passes = sum(len(s["f"]) - 1 for s in solves)
+        return passes / sum(s["grad"] - 1 for s in solves)
+
+
 def _fields(res):
     """Every field of a result, with arrays as bytes and floats by repr (the
     NaN primal residuals of GD traces then compare equal)."""
