@@ -7,7 +7,7 @@ from .generator import (Activation, GeneratorNetwork, compose_linear, forward,
                         jacobian, random_gaussian_net)
 from .measurement import MeasurementModel, ProblemInstance, build_instance
 from .solvers import (RecoveryResult, SolverConfig, SolverDiverged, metrics,
-                      multi_restart, pseudo_inverse, soft_threshold)
+                      multi_restart, pseudo_inverse, soft_threshold, solve_trials)
 from .theory import ConditionReport, estimate_rho_star, k_majority_condition
 
 __all__ = [
@@ -16,7 +16,7 @@ __all__ = [
     "jacobian", "compose_linear",
     "MeasurementModel", "ProblemInstance", "build_instance",
     "SolverConfig", "RecoveryResult", "SolverDiverged", "soft_threshold",
-    "pseudo_inverse", "metrics", "multi_restart",
+    "pseudo_inverse", "metrics", "multi_restart", "solve_trials",
     "ConditionReport", "k_majority_condition", "estimate_rho_star",
     "generator", "measurement", "solvers", "theory", "harness",
 ]

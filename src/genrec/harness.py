@@ -27,7 +27,7 @@ from ._common import child_seeds, row_chunks, substream
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
-from .solvers import SolverConfig, SolverDiverged, metrics, multi_restart
+from .solvers import Metrics, SolverConfig, SolverDiverged, metrics, solve_trials
 from . import theory
 
 SWEEP_AXES = ("measurements", "outliers", "rho_grid")
@@ -134,44 +134,52 @@ def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
     )
 
 
-def _run_one_trial(spec: ExperimentSpec, net: GeneratorNetwork, point_idx: int,
-                   sweep_value, trial: int) -> list[dict]:
-    model_seed, inst_seed = child_seeds(spec.seed, 2, spawn_key=(point_idx, trial))
-    model = _measurement_model(spec, net.n, sweep_value, model_seed)
-    inst = build_instance(net, model, seed=inst_seed)
+def _run_point(spec: ExperimentSpec, net: GeneratorNetwork, point_idx: int,
+               sweep_value, solver_idx: int) -> list[dict]:
+    """One sweep point's trials under one solver config, solved as one
+    block (`solve_trials`): a result row per trial, in trial order.
+
+    wall_ms is the block's time split evenly over the trials, plus each
+    trial's own metrics time.
+    """
+    cfg = spec.solvers[solver_idx]
+    insts, cfgs = [], []
+    for trial in range(spec.trials_per_point):
+        model_seed, inst_seed = child_seeds(spec.seed, 2, spawn_key=(point_idx, trial))
+        model = _measurement_model(spec, net.n, sweep_value, model_seed)
+        insts.append(build_instance(net, model, seed=inst_seed))
+        solver_seed = child_seeds(spec.seed, 1, spawn_key=(point_idx, trial, solver_idx))[0]
+        cfgs.append(replace(cfg, seed=solver_seed))
+    t0 = time.perf_counter()
+    results = solve_trials(net, [(inst.M, inst.y) for inst in insts], cfgs)
+    share_ms = (time.perf_counter() - t0) * 1e3 / len(insts)
     rows = []
-    for si, cfg in enumerate(spec.solvers):
-        solver_seed = child_seeds(spec.seed, 1, spawn_key=(point_idx, trial, si))[0]
-        run_cfg = replace(cfg, seed=solver_seed)
+    for trial, (inst, res) in enumerate(zip(insts, results)):
         t0 = time.perf_counter()
-        try:
-            res = multi_restart(net, inst.M, inst.y, run_cfg)
+        if isinstance(res, SolverDiverged):
+            nan = float("nan")
+            mets, iters, restart = Metrics(nan, nan, nan), 0, -1
+        else:
             mets = metrics(net, inst.M, inst.y, res.z_hat, inst.x0)
-            row = {
-                "sweep_value": sweep_value, "trial": trial, "solver": cfg.method,
-                "eps_m": mets.eps_m, "eps_r": mets.eps_r,
-                "eps_r_per_pixel": mets.eps_r_per_pixel,
-                "iters": res.iters_used, "restart_index": res.restart_index,
-                "seed": inst_seed, "wall_ms": (time.perf_counter() - t0) * 1e3,
-            }
-        except SolverDiverged:
-            row = {
-                "sweep_value": sweep_value, "trial": trial, "solver": cfg.method,
-                "eps_m": float("nan"), "eps_r": float("nan"),
-                "eps_r_per_pixel": float("nan"),
-                "iters": 0, "restart_index": -1,
-                "seed": inst_seed, "wall_ms": (time.perf_counter() - t0) * 1e3,
-            }
-        rows.append(row)
+            iters, restart = res.iters_used, res.restart_index
+        rows.append({
+            "sweep_value": sweep_value, "trial": trial, "solver": cfg.method,
+            "eps_m": mets.eps_m, "eps_r": mets.eps_r,
+            "eps_r_per_pixel": mets.eps_r_per_pixel,
+            "iters": iters, "restart_index": restart, "seed": inst.seed,
+            "wall_ms": share_ms + (time.perf_counter() - t0) * 1e3,
+        })
     return rows
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1):
     """Run every sweep point x trial x solver; return (rows, summary_rows).
 
-    Rows are ordered by (sweep point, trial, solver) regardless of worker
-    count; all non-timing columns are deterministic functions of the spec.
-    When output_dir is set, writes run.json, results.csv, and summary.csv.
+    Each (sweep point, solver) pair is one task, which solves the point's
+    trials as one block. Rows are ordered by (sweep point, trial, solver)
+    regardless of worker count; all non-timing columns are deterministic
+    functions of the spec. When output_dir is set, writes run.json,
+    results.csv, and summary.csv.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -181,17 +189,22 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1):
     if not spec.solvers:
         raise ValueError("sweep needs at least one solver config")
     net = build_net(spec.net)
+    values = spec.sweep["values"]
+    for value in values:   # a bad measurement config fails here, before any solve
+        _measurement_model(spec, net.n, value, 0)
 
-    tasks = [(pi, value, trial)
-             for pi, value in enumerate(spec.sweep["values"])
-             for trial in range(spec.trials_per_point)]
-    run_trial = functools.partial(_run_one_trial, spec, net)
+    tasks = [(pi, value, si) for pi, value in enumerate(values)
+             for si in range(len(spec.solvers))]
+    run_point = functools.partial(_run_point, spec, net)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_trial, *zip(*tasks)))
+            chunks = list(pool.map(run_point, *zip(*tasks)))
     else:
-        chunks = list(map(run_trial, *zip(*tasks)))
-    rows = [row for chunk in chunks for row in chunk]
+        chunks = list(map(run_point, *zip(*tasks)))
+    per_point = len(spec.solvers)
+    rows = [row for pi in range(len(values))
+            for trial_rows in zip(*chunks[pi * per_point:(pi + 1) * per_point])
+            for row in trial_rows]
 
     summary = summarize_rows(rows)
     if spec.output_dir:

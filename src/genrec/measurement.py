@@ -46,9 +46,13 @@ class MeasurementModel:
         if not 0 <= self.outlier_count < self.m:
             raise ValueError(f"need 0 <= outlier_count < m, got {self.outlier_count}")
         lo, hi = _finite_range(self.outlier_range)
-        if self.noise_target < 0:
-            raise ValueError("noise_target must be >= 0")
+        _check_noise_target(self.noise_target)
         object.__setattr__(self, "outlier_range", (lo, hi))
+
+
+def _check_noise_target(noise_target) -> None:
+    if not 0 <= noise_target < np.inf:   # false for NaN too
+        raise ValueError(f"noise_target must be a finite number >= 0, got {noise_target!r}")
 
 
 def _finite_range(value_range) -> tuple[float, float]:
@@ -104,8 +108,7 @@ def sample_noise(m: int, noise_target: float, seed: int = 0) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if noise_target < 0:
-        raise ValueError("noise_target must be >= 0")
+    _check_noise_target(noise_target)
     if noise_target == 0:
         return np.zeros(m)
     rng = np.random.default_rng(seed)

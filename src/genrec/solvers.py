@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -184,17 +184,58 @@ def _check_method(cfg: SolverConfig, *allowed: str) -> None:
 
 
 def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
-    """Validated (M, y) and the (B, k) block of starting points: z0 as one
-    code or a block of codes, or restart 0's draw when z0 is None."""
-    M = as_matrix(M, name="M")
-    y = as_vector(y, M.shape[0], "y")
-    if M.shape[1] != net.n:
-        raise ValueError(f"M has {M.shape[1]} columns, net outputs {net.n}")
-    z = np.array(_initial_z(net, cfg, 0) if z0 is None else as_rows(z0, net.k, "z0"),
-                 ndmin=2)
-    if not len(z):
-        raise ValueError("z0 needs at least one starting point")
-    return M, y, z
+    """Validated problem arrays and starting points.
+
+    One problem: M (m, n), y (m,) and z0 one code, a (B, k) block of codes,
+    or None for restart 0's draw; z comes back as the (B, k) block.
+    T problems: M (T, m, n), y (T, m) and z0 a (T, R, k) block, R starting
+    points per problem; M and y come back with one problem per row of z,
+    (T R, m, n) and (T R, m), and z as the (T, R, k) block.
+    """
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    if M.ndim not in (2, 3):
+        raise ValueError(f"M must be 2-D, or a 3-D stack of problems, got shape {M.shape}")
+    if M.shape[-1] != net.n:
+        raise ValueError(f"M has {M.shape[-1]} columns, net outputs {net.n}")
+    if M.ndim == 2:
+        y = as_vector(y, M.shape[0], "y")
+        z = np.array(_initial_z(net, cfg, 0) if z0 is None else as_rows(z0, net.k, "z0"),
+                     ndmin=2)
+        if not len(z):
+            raise ValueError("z0 needs at least one starting point")
+        return M, y, z
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.shape != M.shape[:2]:
+        raise ValueError(f"y has shape {y.shape}, expected {M.shape[:2]}")
+    z = None if z0 is None else np.ascontiguousarray(z0, dtype=np.float64)
+    if z is None or z.ndim != 3 or z.shape[0] != len(M) or z.shape[2] != net.k \
+            or not z.size:
+        raise ValueError(f"{len(M)} problems need z0 as a ({len(M)}, R, {net.k}) block "
+                         f"with R >= 1, got {None if z is None else z.shape}")
+    return np.repeat(M, z.shape[1], axis=0), np.repeat(y, z.shape[1], axis=0), z
+
+
+def _per_row(M: np.ndarray, y: np.ndarray) -> tuple:
+    """(M, y) when they hold one problem per row, to be compacted with the
+    other per-row state; () for one shared problem."""
+    return (M, y) if M.ndim == 3 else ()
+
+
+def _rows(M: np.ndarray, rows) -> np.ndarray:
+    """M itself when it is one shared problem; its `rows` when it holds one
+    problem per row."""
+    return M if M.ndim == 2 else M[rows]
+
+
+def _residual(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """M x - y for each row of x. With one problem per row, M (b, m, n) and
+    y (b, m), x holds b equal runs of consecutive rows, run i measured with
+    M[i] and y[i]: a row's line-search trial points share its M through a
+    broadcast, not through copies. Each row rounds as `matvec` does."""
+    if M.ndim == 2:
+        return matvec(M, x) - y
+    x = x.reshape(len(M), -1, x.shape[-1])
+    return (matvec(M[:, None], x) - y[:, None]).reshape(-1, y.shape[-1])
 
 
 # Row-wise reductions over a (b, m) block. Dots go through stacked 1 x 1
@@ -254,6 +295,7 @@ def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region) -> None:
     """Refill the `stale` rows of admm_l1's region model in place from their
     patterns: A = M J and `region` = (P, p, c = M g)."""
     maps = region_maps(net, pat[stale])
+    M = _rows(M, stale)
     a[stale] = M @ maps.J
     region[0][stale], region[1][stale], region[2][stale] = maps.P, maps.p, matvec(M, maps.g)
 
@@ -272,21 +314,27 @@ def _evaluate(net: GeneratorNetwork, M, z, pat, a, region) -> tuple[np.ndarray, 
     mgz = matvec(a, z) + c
     if left.any():
         x, pat_new[left] = forward_pattern(net, z[left])
-        mgz[left] = matvec(M, x)
+        mgz[left] = matvec(_rows(M, left), x)
     return mgz, pat_new
 
 
 class _Block:
     """Per-row bookkeeping for a block of starting points run in lockstep.
 
-    `rows` holds the original indices of the rows still running, in order;
-    the solver keeps its own state compacted to those rows. Each row keeps
-    its result (its last iterate, or with `keep_best` the one with the
-    smallest eps_m) and its stop state. Traces are logged as one entry per
-    iteration and assembled only for the row that wins.
+    The block is one problem's (B, k) starting points, or T problems'
+    (T, R, k) starting points flattened to T R rows, each problem (trial)
+    a run of R consecutive rows. `rows` holds the original indices of the
+    rows still running, in order; the solver keeps its own state compacted
+    to those rows. Each row keeps its result (its last iterate, or with
+    `keep_best` the one with the smallest eps_m) and its stop state. Traces
+    are logged as one entry per iteration and assembled only for the rows
+    that win.
     """
 
     def __init__(self, z: np.ndarray, keep_best: bool):
+        self.per_problem = z.ndim == 3
+        self.group = z.shape[-2]   # rows per problem
+        z = z.reshape(-1, z.shape[-1])
         self.rows = np.arange(len(z))
         self.keep_best = keep_best
         self.z_hat = z.copy()
@@ -332,26 +380,39 @@ class _Block:
                                    float(eps_m[pos])))
         return out
 
-    def result(self, net: GeneratorNetwork) -> RecoveryResult:
-        """The first row with the smallest eps_m among those that did not
-        diverge; SolverDiverged, with the last row's trace, if all did."""
+    def _trial(self, net: GeneratorNetwork, start: int):
+        """The result of the trial whose rows begin at `start`: its first row
+        with the smallest eps_m among those that did not diverge, with
+        restart_index counted within the trial; SolverDiverged, with the
+        trial's last row's trace, if all did."""
         best = None
-        for i in range(len(self.eps_m)):
+        for i in range(start, start + self.group):
             if i not in self.errors and (best is None or self.eps_m[i] < self.eps_m[best]):
                 best = i
         if best is None:
-            last = len(self.eps_m) - 1
-            raise SolverDiverged(f"all restarts diverged (restart {last}: {self.errors[last]})",
-                                 self.trace(last))
+            last = start + self.group - 1
+            return SolverDiverged(f"all restarts diverged (restart {last - start}: "
+                                  f"{self.errors[last]})", self.trace(last))
         trace = self.trace(best)
         z = self.z_hat[best].copy()
         return RecoveryResult(z_hat=z, x_hat=forward(net, z), eps_m=float(self.eps_m[best]),
-                              iters_used=len(trace) - 1, trace=trace, restart_index=best,
+                              iters_used=len(trace) - 1, trace=trace,
+                              restart_index=best - start,
                               converged=bool(self.converged[best]))
+
+    def result(self, net: GeneratorNetwork) -> RecoveryResult | list:
+        """One problem's result, raising its SolverDiverged; for T problems,
+        the list of the T trials' results or SolverDiverged instances."""
+        out = [self._trial(net, start) for start in range(0, len(self.eps_m), self.group)]
+        if self.per_problem:
+            return out
+        if isinstance(out[0], SolverDiverged):
+            raise out[0]
+        return out[0]
 
 
 def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
-            probe: Callable[[dict], None] | None = None) -> RecoveryResult:
+            probe: Callable[[dict], None] | None = None) -> RecoveryResult | list:
     """Linearized ADMM for min_z ||M G(z) - y||_1.
 
     Each iteration linearizes G at the current iterate, solves the resulting
@@ -369,6 +430,11 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     Each row keeps A = M J(z) and its pseudo-inverse until its activation
     pattern changes.
 
+    T problems, M (T, m, n) and y (T, m), take z0 as a (T, R, k) block and
+    run all T R rows as one block; the result is a list with each problem's
+    result, or its SolverDiverged if all its rows diverge (see `_problem`
+    and `_Block`). Each entry equals solving that problem alone.
+
     On nets above a size cut (`_REGION_MODEL_MIN_MACS`, which the paper's
     [20,500,500,784] net with m=200 passes and small nets do not), each row
     also keeps its region's affine maps (`region_maps`): pre-activations
@@ -385,11 +451,14 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     """
     _check_method(cfg, ADMM_L1)
     M, y, z = _problem(net, M, y, cfg, z0)
-    if probe is not None and len(z) != 1:
+    if probe is not None and z.size != net.k:
         raise ValueError("probe needs a single starting point")
     rho = cfg.rho
-    tol_primal = cfg.tol_primal if cfg.tol_primal is not None else 1e-6 * math.sqrt(M.shape[0])
+    m = y.shape[-1]
+    tol_primal = cfg.tol_primal if cfg.tol_primal is not None else 1e-6 * math.sqrt(m)
     blk = _Block(z, keep_best=True)
+    z = z.reshape(-1, net.k)
+    problem = _per_row(M, y)
     x, pat = forward_pattern(net, z)
     mgz = matvec(M, x)
     w = mgz - y
@@ -403,7 +472,7 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     # call per iteration, and `stop` takes `region` as one tuple: star-passing
     # its arrays and calling `_evaluate` made 10-row solves on [5,30,60] nets
     # 3-9% slower in the benchmark.
-    rows, m = len(z), M.shape[0]
+    rows = len(z)
     a = np.empty((rows, m, net.k))
     a_pinv = np.empty((rows, net.k, m))
     region = ()
@@ -415,15 +484,16 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
             if region:
                 _rebuild(net, M, pat, stale, a, region)
             else:
-                a[stale] = M @ jacobian(net, z[stale])
+                a[stale] = _rows(M, stale) @ jacobian(net, z[stale])
             a_pinv[stale] = pseudo_inverse(a[stale])
         rhs = w + y - lam / rho - (mgz - matvec(a, z))
         z_new = matvec(a_pinv, rhs)
-        z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region = blk.stop(
-            ~_finite(z_new), z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region,
+        z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region, problem = blk.stop(
+            ~_finite(z_new), z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region, problem,
             error=f"non-finite z iterate at iteration {q}")
         if not blk.rows.size:
             break
+        M, y = problem or (M, y)
         if region:
             mgz_new, pat_new = _evaluate(net, M, z_new, pat, a, region)
         else:
@@ -432,12 +502,14 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         w_input = mgz_new - y + lam / rho
         w = soft_threshold(w_input, 1.0 / rho)
         lam = lam + rho * (mgz_new - w - y)
-        z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region = blk.stop(
+        (z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region,
+         problem) = blk.stop(
             ~(_finite(w) & _finite(lam)),
-            z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region,
+            z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region, problem,
             error=f"non-finite w/lambda at iteration {q}")
         if not blk.rows.size:
             break
+        M, y = problem or (M, y)
 
         primal = _norm(mgz_new - w - y)
         eps_m = _l1(y - mgz_new)
@@ -450,16 +522,17 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
 
         step = _norm(z_new - z)
         stale = _stale(pat, pat_new)
-        z, mgz, pat, stale, w, lam, a, a_pinv, region = blk.stop(
+        z, mgz, pat, stale, w, lam, a, a_pinv, region, problem = blk.stop(
             (primal < tol_primal) & (step < cfg.tol_step),
-            z_new, mgz_new, pat_new, stale, w, lam, a, a_pinv, region, converged=True)
+            z_new, mgz_new, pat_new, stale, w, lam, a, a_pinv, region, problem, converged=True)
         if not blk.rows.size:
             break
+        M, y = problem or (M, y)
     return blk.result(net)
 
 
 def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
-             value: Callable, grad: Callable) -> RecoveryResult:
+             value: Callable, grad: Callable, *problem) -> RecoveryResult | list:
     """Armijo-backtracked descent with a Barzilai-Borwein trial step, run in
     lockstep on the (B, k) block of starting points z.
 
@@ -474,6 +547,14 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     Accepted steps never increase a row's objective. The row whose last
     iterate has the smallest eps_m is returned.
 
+    For T problems, z is their (T, R, k) block and `problem` holds arrays
+    with one problem per row of the T R rows (M and y), compacted with the
+    other per-row state. `value` and `grad` then take the arrays of the rows
+    they evaluate as extra arguments: `value(z, *problem)`, where z holds
+    an equal run of trial points per problem row, and `grad(z, r, jac,
+    *problem)`. The result is then a list, one entry per problem (see
+    `_Block.result`).
+
     Backtracking runs in passes. Each pass evaluates, as one block, the next
     trial steps t, t s, t s^2, ... (s = armijo_shrink) of every row still
     without a step, as many per row as keep the pass within
@@ -482,26 +563,29 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     so this gives the bytes of trying one step at a time.
     """
     blk = _Block(z, keep_best=False)
-    f, r, pres = value(z)
+    z = z.reshape(-1, z.shape[-1])
+    m = y.shape[-1]
+    f, r, pres = value(z, *problem)
     pat = activation_pattern(net, pres)
-    z, f, r, pat = blk.stop(~np.isfinite(f), z, f, r, pat,
-                            error="non-finite objective at the initial point")
+    z, f, r, pat, problem = blk.stop(~np.isfinite(f), z, f, r, pat, problem,
+                                     error="non-finite objective at the initial point")
     jac = jacobian(net, z)
-    g = grad(z, r, jac)
-    z, f, r, g, pat, jac = blk.stop(~_finite(g), z, f, r, g, pat, jac,
-                                    error="non-finite gradient at the initial point")
+    g = grad(z, r, jac, *problem)
+    z, f, r, g, pat, jac, problem = blk.stop(~_finite(g), z, f, r, g, pat, jac, problem,
+                                             error="non-finite gradient at the initial point")
     blk.record(f, None, _l1(r), z)
-    z, f, g, pat, jac = blk.stop(~np.any(g, axis=-1), z, f, g, pat, jac, converged=True)
+    z, f, g, pat, jac, problem = blk.stop(~np.any(g, axis=-1), z, f, g, pat, jac, problem,
+                                          converged=True)
 
-    macs = _row_macs(net, y.size)
+    macs = _row_macs(net, m)
     t_trial = np.full(len(z), cfg.step_init)
     for q in range(1, cfg.max_iters + 1):
         if not blk.rows.size:
             break
         gg = _dot(g, g)
-        z, f, g, gg, t_trial, pat, jac = blk.stop(gg == 0.0, z, f, g, gg, t_trial, pat, jac,
-                                                  converged=True)
-        z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), y.size))
+        z, f, g, gg, t_trial, pat, jac, problem = blk.stop(
+            gg == 0.0, z, f, g, gg, t_trial, pat, jac, problem, converged=True)
+        z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), m))
         pat_new = np.empty_like(pat)
         todo, t, tried = np.arange(len(z)), t_trial, 0
         while todo.size and tried < _MAX_BACKTRACKS:
@@ -513,27 +597,28 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             steps[:, 0], steps[:, 1:] = t, cfg.armijo_shrink
             np.multiply.accumulate(steps, axis=1, out=steps)
             z_try = (z[todo, None] - steps[..., None] * g[todo, None]).reshape(-1, z.shape[1])
-            f_try, r_try, pres = value(z_try)
+            f_try, r_try, pres = value(z_try, *(problem if todo.size == len(z)
+                                                else (a[todo] for a in problem)))
             armijo = f[todo, None] - cfg.armijo_c * steps * gg[todo, None]
             ok = (np.isfinite(f_try) & (f_try <= armijo.ravel())).reshape(steps.shape)
             hit = ok.any(axis=1)
             pick = (np.arange(0, ok.size, width) + ok.argmax(axis=1))[hit]
             done = todo[hit]
             z_new[done], f_new[done], r_new[done] = z_try[pick], f_try[pick], r_try[pick]
-            pat_new[done] = activation_pattern(net, [pre[pick] for pre in pres])
+            pat_new[done] = activation_pattern(net, pres)[pick]
             todo, t = todo[~hit], steps[~hit, -1] * cfg.armijo_shrink
             tried += width
         stalled = np.zeros(len(z), dtype=bool)
         stalled[todo] = True
-        z, g, z_new, f_new, r_new, pat, pat_new, jac = blk.stop(
-            stalled, z, g, z_new, f_new, r_new, pat, pat_new, jac)
+        z, g, z_new, f_new, r_new, pat, pat_new, jac, problem = blk.stop(
+            stalled, z, g, z_new, f_new, r_new, pat, pat_new, jac, problem)
         stale = _stale(pat, pat_new)
         if stale.any():
             jac[stale] = jacobian(net, z_new[stale])
-        g_new = grad(z_new, r_new, jac)
-        z, g, z_new, f_new, r_new, g_new, pat_new, jac = blk.stop(
+        g_new = grad(z_new, r_new, jac, *problem)
+        z, g, z_new, f_new, r_new, g_new, pat_new, jac, problem = blk.stop(
             ~(_finite(z_new) & _finite(g_new)), z, g, z_new, f_new, r_new, g_new, pat_new, jac,
-            error=f"non-finite iterate at iteration {q}")
+            problem, error=f"non-finite iterate at iteration {q}")
 
         s = z_new - z
         ss, sy = _dot(s, s), _dot(s, g_new - g)
@@ -543,58 +628,61 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
 
         z, f, g, pat = z_new, f_new, g_new, pat_new
         blk.record(f, None, _l1(r_new), z)
-        z, f, g, t_trial, pat, jac = blk.stop(np.sqrt(ss) < cfg.tol_step,
-                                              z, f, g, t_trial, pat, jac, converged=True)
+        z, f, g, t_trial, pat, jac, problem = blk.stop(
+            np.sqrt(ss) < cfg.tol_step, z, f, g, t_trial, pat, jac, problem, converged=True)
     return blk.result(net)
 
 
-def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> RecoveryResult:
+def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
+                  z0=None) -> RecoveryResult | list:
     """Gradient descent on f(z) = ||M G(z) - y||_1^2.
 
     The descent direction comes from the subgradient
     2 ||r||_1 J^T M^T sign(r) with sign(0) = 0; the objective is
     non-differentiable only on a measure-zero set. z0 may be a (B, k) block
-    of starting points, as in `_descend`.
+    of starting points, or T problems' (T, R, k) block, as in `_descend`.
     """
     _check_method(cfg, GD_L1SQ)
     M, y, z = _problem(net, M, y, cfg, z0)
 
-    def value(z):
+    def value(z, M=M, y=y):
         pres = layer_preactivations(net, z)
-        r = matvec(M, net.activation.apply(pres[-1])) - y
+        r = _residual(M, net.activation.apply(pres[-1]), y)
         l1 = _l1(r)
         return l1 * l1, r, pres
 
-    def grad(z, r, jac):
+    def grad(z, r, jac, M=M, *_):
         jt = np.swapaxes(jac, -1, -2)
-        return (2.0 * _l1(r))[:, None] * matvec(jt, matvec(M.T, np.sign(r)))
+        return (2.0 * _l1(r))[:, None] * matvec(jt, matvec(np.swapaxes(M, -1, -2),
+                                                           np.sign(r)))
 
-    return _descend(net, y, cfg, z, value, grad)
+    return _descend(net, y, cfg, z, value, grad, *_per_row(M, y))
 
 
-def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None) -> RecoveryResult:
+def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
+                  z0=None) -> RecoveryResult | list:
     """Gradient descent on ||M G(z) - y||_2^2, plus lambda_reg ||z||_2^2 for
-    the regularized method. z0 may be a (B, k) block of starting points, as
-    in `_descend`."""
+    the regularized method. z0 may be a (B, k) block of starting points, or
+    T problems' (T, R, k) block, as in `_descend`."""
     _check_method(cfg, GD_L2SQ, GD_L2SQ_REG)
     M, y, z = _problem(net, M, y, cfg, z0)
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
-    def value(z):
+    def value(z, M=M, y=y):
         pres = layer_preactivations(net, z)
-        r = matvec(M, net.activation.apply(pres[-1])) - y
+        r = _residual(M, net.activation.apply(pres[-1]), y)
         f = _dot(r, r)
         if lam > 0:
             f = f + lam * _dot(z, z)
         return f, r, pres
 
-    def grad(z, r, jac):
-        g = 2.0 * matvec(np.swapaxes(jac, -1, -2), matvec(M.T, r))
+    def grad(z, r, jac, M=M, *_):
+        g = 2.0 * matvec(np.swapaxes(jac, -1, -2), matvec(np.swapaxes(M, -1, -2), r))
         if lam > 0:
             g = g + 2.0 * lam * z
         return g
 
-    return _descend(net, y, cfg, z, value, grad)
+    return _descend(net, y, cfg, z, value, grad, *_per_row(M, y))
 
 
 _SOLVERS: dict[str, Callable] = {
@@ -603,6 +691,11 @@ _SOLVERS: dict[str, Callable] = {
     GD_L2SQ: gd_squared_l2,
     GD_L2SQ_REG: gd_squared_l2,
 }
+
+
+def _starts(net: GeneratorNetwork, cfg: SolverConfig) -> np.ndarray:
+    """The (restarts, k) block of multi_restart's starting points."""
+    return np.stack([_initial_z(net, cfg, i) for i in range(cfg.restarts)])
 
 
 def multi_restart(net: GeneratorNetwork, M, y, cfg: SolverConfig,
@@ -619,8 +712,32 @@ def multi_restart(net: GeneratorNetwork, M, y, cfg: SolverConfig,
     """
     if solver is None:
         solver = _SOLVERS[cfg.method]
-    z0 = np.stack([_initial_z(net, cfg, i) for i in range(cfg.restarts)])
-    return solver(net, M, y, cfg, z0=z0)
+    return solver(net, M, y, cfg, z0=_starts(net, cfg))
+
+
+def solve_trials(net: GeneratorNetwork, problems, cfgs) -> list:
+    """`multi_restart` for each trial: problem (M, y) of `problems` with its
+    config of `cfgs`, all trials' restarts run in lockstep as one block of
+    trials x restarts rows.
+
+    The configs may differ only in seed, and the problems must share their
+    shape. Entry i is what multi_restart gives for trial i, byte for byte,
+    or, where all of trial i's restarts diverge, its SolverDiverged in place
+    of the result; the other trials are unaffected.
+    """
+    cfgs = list(cfgs)
+    if not cfgs or len(problems) != len(cfgs):
+        raise ValueError(f"need one config per problem and at least one, got "
+                         f"{len(cfgs)} configs for {len(problems)} problems")
+    if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
+        raise ValueError("the trials' solver configs may differ only in seed")
+    try:
+        M = np.stack([np.asarray(mat, dtype=np.float64) for mat, _ in problems])
+        y = np.stack([np.asarray(vec, dtype=np.float64) for _, vec in problems])
+    except ValueError:
+        raise ValueError("the trials' problems must share one shape") from None
+    z0 = np.stack([_starts(net, c) for c in cfgs])
+    return _SOLVERS[cfgs[0].method](net, M, y, cfgs[0], z0=z0)
 
 
 def write_trace(trace: list[TraceRecord], path) -> None:

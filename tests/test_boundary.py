@@ -11,7 +11,7 @@ from genrec import cli
 from genrec.generator import (Activation, GeneratorNetwork, load_net,
                               random_gaussian_net)
 from genrec.harness import ExperimentSpec, run_sweep
-from genrec.measurement import MeasurementModel, load_instance, sample_outliers
+from genrec.measurement import MeasurementModel, load_instance, sample_noise, sample_outliers
 from genrec.solvers import SolverConfig
 
 
@@ -292,3 +292,36 @@ class TestIntegerConfigValues:
             [{k: v for k, v in r.items() if k not in drop} for r in rows_int]
         echo = json.loads((tmp_path / "float" / "run.json").read_text())["config"]
         assert (echo["trials_per_point"], echo["seed"]) == (2, 0)
+
+
+class TestNoiseTarget:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_library_rejects_naming_noise_target(self, bad):
+        with pytest.raises(ValueError, match="noise_target must be a finite number >= 0"):
+            MeasurementModel(m=5, n=5, noise_target=bad)
+        with pytest.raises(ValueError, match="noise_target"):
+            sample_noise(5, bad)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_cli_gen_instance_is_one_error_line(self, tmp_path, capsys, text):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         f"--noise={text}", "--out", str(inst_path)]) == 2
+        assert "noise_target" in one_error_line(capsys)
+        assert not inst_path.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_sweep_names_noise_target(self, tmp_path, workers):
+        spec = ExperimentSpec.from_dict(_tiny_sweep(**{"measurement.noise_target": math.nan},
+                                                    output_dir=str(tmp_path / "run")))
+        with pytest.raises(ValueError, match="noise_target"):
+            run_sweep(spec, workers=workers)
+        assert not (tmp_path / "run").exists()   # rejected before any solve
+
+    def test_cli_sweep_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep(**{"measurement.noise_target": math.inf})))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "noise_target" in one_error_line(capsys)
