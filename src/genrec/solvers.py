@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,14 +86,7 @@ class SolverConfig:
             raise ValueError("init_scale must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method, "rho": self.rho, "lambda_reg": self.lambda_reg,
-            "max_iters": self.max_iters, "restarts": self.restarts,
-            "init_scale": self.init_scale, "step_init": self.step_init,
-            "armijo_c": self.armijo_c, "armijo_shrink": self.armijo_shrink,
-            "tol_primal": self.tol_primal, "tol_step": self.tol_step,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -138,14 +132,12 @@ def soft_threshold(v, tau: float) -> np.ndarray:
 
 def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD, of one matrix or of each matrix
-    in a (B, p, q) stack.
-
-    Singular values below eps * max(p, q) * sigma_max are treated as zero.
-    """
+    in a (B, p, q) stack. Singular values below eps * max(p, q) * sigma_max
+    are treated as zero."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim not in (2, 3):
         raise ValueError(f"A must be 2-D or a 3-D stack, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("pseudo_inverse requires finite entries")
     rcond = np.finfo(np.float64).eps * max(a.shape[-2:])
     return np.linalg.pinv(a, rcond=rcond)
@@ -241,7 +233,7 @@ def _residual(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # Row-wise reductions over a (b, m) block. Dots go through stacked 1 x 1
 # products, so each row rounds as the 1-D `a @ b` and np.linalg.norm do.
 def _l1(r: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(r), axis=-1)
+    return np.abs(r).sum(axis=-1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,14 +245,14 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    return np.all(np.isfinite(a), axis=-1)
+    return np.isfinite(a).all(axis=-1)
 
 
 def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Rows whose activation pattern differs from the one their cached
     Jacobian (and M J and its pseudo-inverse) was built for. J depends on z
     only through the pattern, so the other rows reuse theirs unchanged."""
-    return np.any(cached != pattern, axis=-1)
+    return (cached != pattern).any(axis=-1)
 
 
 # admm_l1 takes the region model (`_evaluate`) on nets whose layered
@@ -282,8 +274,7 @@ _LINE_SEARCH_PASS_MACS = 200_000
 
 
 def _row_macs(net: GeneratorNetwork, m: int) -> int:
-    """Multiply-adds of one layered evaluation of M G(z):
-    k n_1 + n_1 n_2 + ... + n_(d-1) n + m n."""
+    """Multiply-adds of one layered evaluation of M G(z): k n_1 + ... + m n."""
     return sum(a * b for a, b in zip(net.dims, net.dims[1:])) + m * net.n
 
 
@@ -302,15 +293,12 @@ def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region) -> None:
 
 def _evaluate(net: GeneratorNetwork, M, z, pat, a, region) -> tuple[np.ndarray, np.ndarray]:
     """M G(z) and the activation pattern of each row of z, through the
-    region model `region` = (P, p, c).
-
-    A row whose pre-activations P z + p keep the pattern its maps were built
-    for stays in that region, where M G(z) = A z + c. Rows that left it go
-    through the layers.
-    """
+    region model `region` = (P, p, c): a row whose pre-activations P z + p
+    keep the pattern its maps were built for stays in that region, where
+    M G(z) = A z + c. Rows that left it go through the layers."""
     big_p, small_p, c = region
     pat_new = matvec(big_p, z) + small_p >= 0.0
-    left = np.any(pat_new != pat, axis=-1)
+    left = (pat_new != pat).any(axis=-1)
     mgz = matvec(a, z) + c
     if left.any():
         x, pat_new[left] = forward_pattern(net, z[left])
@@ -328,7 +316,9 @@ class _Block:
     to those rows. Each row keeps its result (its last iterate, or with
     `keep_best` the one with the smallest eps_m) and its stop state. Traces
     are logged as one entry per iteration and assembled only for the rows
-    that win.
+    that win. The solvers call `stop` only when a row stops and `diverge`
+    tests a finite block as a whole: an iteration in which no row stops
+    does no stop bookkeeping.
     """
 
     def __init__(self, z: np.ndarray, keep_best: bool):
@@ -339,45 +329,57 @@ class _Block:
         self.keep_best = keep_best
         self.z_hat = z.copy()
         self.eps_m = np.full(len(z), np.nan)
+        self._eps, self._z = self.eps_m.copy(), self.z_hat.copy()   # of the running rows
         self.converged = np.zeros(len(z), dtype=bool)
         self.errors: dict[int, str] = {}
         self._log: list[tuple] = []
 
     def record(self, objective, primal, eps_m, z) -> None:
-        """Log one iteration of the running rows and update their results.
-        `primal` None logs NaN."""
+        """Log one iteration of the running rows (`primal` None logs NaN) and
+        update their results, kept compacted with them until they stop. The
+        arrays are kept, not copied: callers do not write into them later."""
         self._log.append((self.rows, objective, primal, eps_m))
-        rows = self.rows
         if self.keep_best and len(self._log) > 1:
-            better = eps_m < self.eps_m[rows]
-            rows, eps_m, z = rows[better], eps_m[better], z[better]
-        self.eps_m[rows] = eps_m
-        self.z_hat[rows] = z
+            better = eps_m < self._eps
+            np.copyto(self._eps, eps_m, where=better)
+            np.copyto(self._z, z, where=better[:, None])
+        else:   # keep_best updates its own copies in place
+            self._eps, self._z = (eps_m.copy(), z.copy()) if self.keep_best else (eps_m, z)
+
+    def diverge(self, checked, *state, error: str) -> tuple:
+        """`stop`, as diverged with `error`, the running rows with a
+        non-finite entry in an array of `checked`."""
+        if all(np.isfinite(a).all() for a in checked):
+            return state
+        finite = np.logical_and.reduce([_finite(a.reshape(len(a), -1)) for a in checked])
+        return self.stop(~finite, *state, error=error)
 
     def stop(self, mask, *state, converged=False, error=None) -> tuple:
         """Stop the running rows where `mask` holds, as converged or as
         diverged with `error`, and return `state` compacted to the others.
         A tuple in `state` is compacted array by array."""
-        if not mask.any():
-            return state
-        stopped = self.rows[mask]
+        stopped, keep = self.rows[mask], ~mask
         self.converged[stopped] = converged
         if error is not None:
             self.errors.update(dict.fromkeys(stopped.tolist(), error))
-        keep = ~mask
+        self.eps_m[stopped], self.z_hat[stopped] = self._eps[mask], self._z[mask]
+        self._eps, self._z = self._eps[keep], self._z[keep]
         self.rows = self.rows[keep]
         return tuple(tuple(a[keep] for a in v) if isinstance(v, tuple) else v[keep]
                      for v in state)
 
     def trace(self, row: int) -> list[TraceRecord]:
+        """`row`'s entry of each logged iteration it ran. Its position is
+        looked up once per run of iterations that share a `rows` array."""
         out = []
-        for q, (rows, objective, primal, eps_m) in enumerate(self._log):
-            pos = int(np.searchsorted(rows, row))
-            if pos == len(rows) or rows[pos] != row:
+        for _, run in groupby(self._log, key=lambda entry: id(entry[0])):
+            run = list(run)
+            pos = int(np.searchsorted(run[0][0], row))
+            if pos == len(run[0][0]) or run[0][0][pos] != row:
                 break
-            out.append(TraceRecord(q, float(objective[pos]),
-                                   float("nan") if primal is None else float(primal[pos]),
-                                   float(eps_m[pos])))
+            out += [TraceRecord(len(out) + i, objective.item(pos),
+                                math.nan if primal is None else primal.item(pos), eps_m.item(pos))
+                    for i, (_, objective, primal, eps_m) in enumerate(run)]
         return out
 
     def _trial(self, net: GeneratorNetwork, start: int):
@@ -385,10 +387,8 @@ class _Block:
         with the smallest eps_m among those that did not diverge, with
         restart_index counted within the trial; SolverDiverged, with the
         trial's last row's trace, if all did."""
-        best = None
-        for i in range(start, start + self.group):
-            if i not in self.errors and (best is None or self.eps_m[i] < self.eps_m[best]):
-                best = i
+        best = min((i for i in range(start, start + self.group) if i not in self.errors),
+                   key=self.eps_m.__getitem__, default=None)
         if best is None:
             last = start + self.group - 1
             return SolverDiverged(f"all restarts diverged (restart {last - start}: "
@@ -397,18 +397,16 @@ class _Block:
         z = self.z_hat[best].copy()
         return RecoveryResult(z_hat=z, x_hat=forward(net, z), eps_m=float(self.eps_m[best]),
                               iters_used=len(trace) - 1, trace=trace,
-                              restart_index=best - start,
-                              converged=bool(self.converged[best]))
+                              restart_index=best - start, converged=bool(self.converged[best]))
 
     def result(self, net: GeneratorNetwork) -> RecoveryResult | list:
         """One problem's result, raising its SolverDiverged; for T problems,
         the list of the T trials' results or SolverDiverged instances."""
+        self.eps_m[self.rows], self.z_hat[self.rows] = self._eps, self._z
         out = [self._trial(net, start) for start in range(0, len(self.eps_m), self.group)]
-        if self.per_problem:
-            return out
-        if isinstance(out[0], SolverDiverged):
+        if not self.per_problem and isinstance(out[0], SolverDiverged):
             raise out[0]
-        return out[0]
+        return out if self.per_problem else out[0]
 
 
 def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
@@ -428,22 +426,16 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     best row is returned with its index as restart_index. A row that goes
     non-finite is dropped; SolverDiverged is raised only if every row does.
     Each row keeps A = M J(z) and its pseudo-inverse until its activation
-    pattern changes.
+    pattern changes. T problems, M (T, m, n) and y (T, m), take z0 as a
+    (T, R, k) block and give a list with each problem's result, or its
+    SolverDiverged, equal to solving it alone (see `_problem` and `_Block`).
 
-    T problems, M (T, m, n) and y (T, m), take z0 as a (T, R, k) block and
-    run all T R rows as one block; the result is a list with each problem's
-    result, or its SolverDiverged if all its rows diverge (see `_problem`
-    and `_Block`). Each entry equals solving that problem alone.
-
-    On nets above a size cut (`_REGION_MODEL_MIN_MACS`, which the paper's
-    [20,500,500,784] net with m=200 passes and small nets do not), each row
-    also keeps its region's affine maps (`region_maps`): pre-activations
-    P z + p and c = M g, with M G(z) = A z + c on the region. A new iterate
-    whose P z + p keep the row's pattern is evaluated through A z + c; only
-    rows that leave their region go through the layers. Those results
-    differ from layered evaluation in the last bits, but are deterministic
-    and do not depend on the caching. Below the cut every iterate goes
-    through the layers.
+    On nets above a size cut (`_REGION_MODEL_MIN_MACS`; the paper's net
+    passes it, small nets do not), each row also keeps its region's affine
+    maps (`region_maps`), and a new iterate whose pre-activations P z + p
+    keep the row's pattern is evaluated as M G(z) = A z + c; rows that leave
+    their region go through the layers. That differs from layered
+    evaluation in the last bits, but does not depend on the caching.
 
     `probe`, when given, is called once per iteration with the internal
     quantities (A, rhs, z_new, w_input, w, lam) for diagnostics; it needs a
@@ -473,8 +465,7 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     # its arrays and calling `_evaluate` made 10-row solves on [5,30,60] nets
     # 3-9% slower in the benchmark.
     rows = len(z)
-    a = np.empty((rows, m, net.k))
-    a_pinv = np.empty((rows, net.k, m))
+    a, a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
     region = ()
     if _uses_region_model(net, m):
         region = (np.empty((rows, pat.shape[1], net.k)), np.empty(pat.shape), np.empty((rows, m)))
@@ -486,10 +477,11 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
             else:
                 a[stale] = _rows(M, stale) @ jacobian(net, z[stale])
             a_pinv[stale] = pseudo_inverse(a[stale])
-        rhs = w + y - lam / rho - (mgz - matvec(a, z))
+        lam_rho = lam / rho
+        rhs = w + y - lam_rho - (mgz - matvec(a, z))
         z_new = matvec(a_pinv, rhs)
-        z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region, problem = blk.stop(
-            ~_finite(z_new), z, z_new, mgz, pat, w, lam, a, a_pinv, rhs, region, problem,
+        z, z_new, mgz, pat, w, lam, lam_rho, a, a_pinv, rhs, region, problem = blk.diverge(
+            (z_new,), z, z_new, mgz, pat, w, lam, lam_rho, a, a_pinv, rhs, region, problem,
             error=f"non-finite z iterate at iteration {q}")
         if not blk.rows.size:
             break
@@ -499,19 +491,20 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         else:
             x_new, pat_new = forward_pattern(net, z_new)
             mgz_new = matvec(M, x_new)
-        w_input = mgz_new - y + lam / rho
+        w_input = mgz_new - y + lam_rho
         w = soft_threshold(w_input, 1.0 / rho)
-        lam = lam + rho * (mgz_new - w - y)
-        (z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region,
-         problem) = blk.stop(
-            ~(_finite(w) & _finite(lam)),
-            z, z_new, mgz_new, pat, pat_new, w_input, w, lam, a, a_pinv, rhs, region, problem,
-            error=f"non-finite w/lambda at iteration {q}")
+        r = mgz_new - w - y
+        lam = lam + rho * r
+        # The multiplier was finite, so the new one is finite only where w is too.
+        (z, z_new, mgz_new, pat, pat_new, w_input, w, r, lam, a, a_pinv, rhs, region,
+         problem) = blk.diverge(
+            (lam,), z, z_new, mgz_new, pat, pat_new, w_input, w, r, lam, a, a_pinv, rhs, region,
+            problem, error=f"non-finite w/lambda at iteration {q}")
         if not blk.rows.size:
             break
         M, y = problem or (M, y)
 
-        primal = _norm(mgz_new - w - y)
+        primal = _norm(r)
         eps_m = _l1(y - mgz_new)
         blk.record(eps_m, primal, eps_m, z_new)
         if probe is not None:
@@ -520,14 +513,18 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
                    "z_new": z_new[0], "w_input": w_input[0], "w": w[0], "lam": lam[0],
                    "rho": rho})
 
-        step = _norm(z_new - z)
         stale = _stale(pat, pat_new)
-        z, mgz, pat, stale, w, lam, a, a_pinv, region, problem = blk.stop(
-            (primal < tol_primal) & (step < cfg.tol_step),
-            z_new, mgz_new, pat_new, stale, w, lam, a, a_pinv, region, problem, converged=True)
-        if not blk.rows.size:
-            break
-        M, y = problem or (M, y)
+        z_prev, z, mgz, pat = z, z_new, mgz_new, pat_new
+        done = primal < tol_primal
+        if done.any():   # the step matters only where the primal residual is small
+            done &= _norm(z - z_prev) < cfg.tol_step
+            if done.any():
+                z, mgz, pat, stale, w, lam, a, a_pinv, region, problem = blk.stop(
+                    done, z, mgz, pat, stale, w, lam, a, a_pinv, region, problem,
+                    converged=True)
+                if not blk.rows.size:
+                    break
+                M, y = problem or (M, y)
     return blk.result(net)
 
 
@@ -547,34 +544,31 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     Accepted steps never increase a row's objective. The row whose last
     iterate has the smallest eps_m is returned.
 
-    For T problems, z is their (T, R, k) block and `problem` holds arrays
-    with one problem per row of the T R rows (M and y), compacted with the
-    other per-row state. `value` and `grad` then take the arrays of the rows
-    they evaluate as extra arguments: `value(z, *problem)`, where z holds
-    an equal run of trial points per problem row, and `grad(z, r, jac,
-    *problem)`. The result is then a list, one entry per problem (see
-    `_Block.result`).
+    For T problems, z is their (T, R, k) block and `problem` holds M and y
+    with one problem per row, compacted with the other per-row state;
+    `value(z, *problem)` (z an equal run of trial points per problem row)
+    and `grad(z, r, jac, *problem)` take those of the rows they evaluate,
+    and the result is a list, one entry per problem (see `_Block.result`).
 
     Backtracking runs in passes. Each pass evaluates, as one block, the next
     trial steps t, t s, t s^2, ... (s = armijo_shrink) of every row still
-    without a step, as many per row as keep the pass within
-    `_LINE_SEARCH_PASS_MACS` multiply-adds, and each row takes its first
-    step that passes the Armijo test. `value` treats each row on its own,
-    so this gives the bytes of trying one step at a time.
+    without a step, within `_LINE_SEARCH_PASS_MACS` multiply-adds, and each
+    row takes its first step that passes the Armijo test: the bytes of
+    trying one step at a time, as `value` treats each row on its own.
     """
     blk = _Block(z, keep_best=False)
     z = z.reshape(-1, z.shape[-1])
     m = y.shape[-1]
     f, r, pres = value(z, *problem)
     pat = activation_pattern(net, pres)
-    z, f, r, pat, problem = blk.stop(~np.isfinite(f), z, f, r, pat, problem,
-                                     error="non-finite objective at the initial point")
+    z, f, r, pat, problem = blk.diverge((f,), z, f, r, pat, problem,
+                                        error="non-finite objective at the initial point")
     jac = jacobian(net, z)
     g = grad(z, r, jac, *problem)
-    z, f, r, g, pat, jac, problem = blk.stop(~_finite(g), z, f, r, g, pat, jac, problem,
-                                             error="non-finite gradient at the initial point")
+    z, f, r, g, pat, jac, problem = blk.diverge((g,), z, f, r, g, pat, jac, problem,
+                                                error="non-finite gradient at the initial point")
     blk.record(f, None, _l1(r), z)
-    z, f, g, pat, jac, problem = blk.stop(~np.any(g, axis=-1), z, f, g, pat, jac, problem,
+    z, f, g, pat, jac, problem = blk.stop(~g.any(axis=-1), z, f, g, pat, jac, problem,
                                           converged=True)
 
     macs = _row_macs(net, m)
@@ -583,12 +577,14 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
         if not blk.rows.size:
             break
         gg = _dot(g, g)
-        z, f, g, gg, t_trial, pat, jac, problem = blk.stop(
-            gg == 0.0, z, f, g, gg, t_trial, pat, jac, problem, converged=True)
+        if not gg.all():
+            z, f, g, gg, t_trial, pat, jac, problem = blk.stop(
+                gg == 0.0, z, f, g, gg, t_trial, pat, jac, problem, converged=True)
         z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), m))
         pat_new = np.empty_like(pat)
         todo, t, tried = np.arange(len(z)), t_trial, 0
         while todo.size and tried < _MAX_BACKTRACKS:
+            sel = todo if todo.size < len(z) else slice(None)   # views on the first pass
             width = min(max(1, _LINE_SEARCH_PASS_MACS // (todo.size * macs)),
                         _MAX_BACKTRACKS - tried)
             # Row i's steps t_i, t_i s, t_i s^2, ...: the accumulation
@@ -596,40 +592,45 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             steps = np.empty((todo.size, width))
             steps[:, 0], steps[:, 1:] = t, cfg.armijo_shrink
             np.multiply.accumulate(steps, axis=1, out=steps)
-            z_try = (z[todo, None] - steps[..., None] * g[todo, None]).reshape(-1, z.shape[1])
-            f_try, r_try, pres = value(z_try, *(problem if todo.size == len(z)
-                                                else (a[todo] for a in problem)))
-            armijo = f[todo, None] - cfg.armijo_c * steps * gg[todo, None]
+            z_try = (z[sel, None] - steps[..., None] * g[sel, None]).reshape(-1, z.shape[1])
+            f_try, r_try, pres = value(z_try, *(a[sel] for a in problem))
+            armijo = f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
             ok = (np.isfinite(f_try) & (f_try <= armijo.ravel())).reshape(steps.shape)
             hit = ok.any(axis=1)
-            pick = (np.arange(0, ok.size, width) + ok.argmax(axis=1))[hit]
-            done = todo[hit]
+            pick = np.arange(0, ok.size, width) + ok.argmax(axis=1)
+            if hit.all():   # every row has its step: no gathers
+                done, todo = sel, todo[:0]
+            else:
+                pick, done, todo, t = (pick[hit], todo[hit], todo[~hit],
+                                       steps[~hit, -1] * cfg.armijo_shrink)
             z_new[done], f_new[done], r_new[done] = z_try[pick], f_try[pick], r_try[pick]
-            pat_new[done] = activation_pattern(net, pres)[pick]
-            todo, t = todo[~hit], steps[~hit, -1] * cfg.armijo_shrink
+            if pat.shape[1]:   # identity nets have no pattern
+                pat_new[done] = activation_pattern(net, pres)[pick]
             tried += width
-        stalled = np.zeros(len(z), dtype=bool)
-        stalled[todo] = True
-        z, g, z_new, f_new, r_new, pat, pat_new, jac, problem = blk.stop(
-            stalled, z, g, z_new, f_new, r_new, pat, pat_new, jac, problem)
+        if todo.size:   # rows whose trial steps all failed: stalled
+            z, g, z_new, f_new, r_new, pat, pat_new, jac, problem = blk.stop(
+                np.isin(np.arange(len(z)), todo), z, g, z_new, f_new, r_new, pat, pat_new, jac,
+                problem)
         stale = _stale(pat, pat_new)
         if stale.any():
             jac[stale] = jacobian(net, z_new[stale])
         g_new = grad(z_new, r_new, jac, *problem)
-        z, g, z_new, f_new, r_new, g_new, pat_new, jac, problem = blk.stop(
-            ~(_finite(z_new) & _finite(g_new)), z, g, z_new, f_new, r_new, g_new, pat_new, jac,
-            problem, error=f"non-finite iterate at iteration {q}")
+        z, g, z_new, f_new, r_new, g_new, pat_new, jac, problem = blk.diverge(
+            (z_new, g_new), z, g, z_new, f_new, r_new, g_new, pat_new, jac, problem,
+            error=f"non-finite iterate at iteration {q}")
 
         s = z_new - z
         ss, sy = _dot(s, s), _dot(s, g_new - g)
         bb = (sy > 0) & np.isfinite(sy)
-        t_trial = np.full(len(z), cfg.step_init)
-        t_trial[bb] = np.minimum(np.maximum(ss[bb] / sy[bb], 1e-20), 1e20)
+        t_trial = np.where(bb, np.minimum(np.maximum(ss / np.where(bb, sy, 1.0), 1e-20), 1e20),
+                           cfg.step_init)
 
         z, f, g, pat = z_new, f_new, g_new, pat_new
         blk.record(f, None, _l1(r_new), z)
-        z, f, g, t_trial, pat, jac, problem = blk.stop(
-            np.sqrt(ss) < cfg.tol_step, z, f, g, t_trial, pat, jac, problem, converged=True)
+        done = np.sqrt(ss) < cfg.tol_step
+        if done.any():
+            z, f, g, t_trial, pat, jac, problem = blk.stop(
+                done, z, f, g, t_trial, pat, jac, problem, converged=True)
     return blk.result(net)
 
 
@@ -745,6 +746,5 @@ def write_trace(trace: list[TraceRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective", "primal_residual", "eps_m"])
-        for rec in trace:
-            writer.writerow([rec.iteration, repr(rec.objective),
-                             repr(rec.primal_residual), repr(rec.eps_m)])
+        writer.writerows([r.iteration, repr(r.objective), repr(r.primal_residual), repr(r.eps_m)]
+                         for r in trace)
