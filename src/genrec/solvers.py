@@ -207,12 +207,6 @@ def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
     return np.repeat(M, z.shape[1], axis=0), np.repeat(y, z.shape[1], axis=0), z
 
 
-def _per_row(M: np.ndarray, y: np.ndarray) -> tuple:
-    """(M, y) when they hold one problem per row, to be compacted with the
-    other per-row state; () for one shared problem."""
-    return (M, y) if M.ndim == 3 else ()
-
-
 def _rows(M: np.ndarray, rows) -> np.ndarray:
     """M itself when it is one shared problem; its `rows` when it holds one
     problem per row."""
@@ -252,6 +246,8 @@ def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Rows whose activation pattern differs from the one their cached
     Jacobian (and M J and its pseudo-inverse) was built for. J depends on z
     only through the pattern, so the other rows reuse theirs unchanged."""
+    if not pattern.shape[1]:   # identity nets have no pattern
+        return np.zeros(len(pattern), dtype=bool)
     return (cached != pattern).any(axis=-1)
 
 
@@ -306,30 +302,55 @@ def _evaluate(net: GeneratorNetwork, M, z, pat, a, region) -> tuple[np.ndarray, 
     return mgz, pat_new
 
 
+class _RowState:
+    """The running rows' state of a block solve, one attribute per quantity:
+    an array with one leading entry per running row, or a tuple of such
+    arrays. A problem `M` (m, n) and `y` (m,) shared by every row is kept
+    whole; with one problem per row, M (b, m, n) and y (b, m) are rows too."""
+
+    # `_Block`'s row indices and results, then the solvers' entries. Slots, not a dict: the
+    # solver loops read and write them dozens of times per iteration.
+    __slots__ = ("rows", "eps_m", "z_hat", "M", "y", "problem", "z", "z_new", "pat", "pat_new",
+                 "r", "r_new", "mgz", "w", "w_input", "lam", "lam_rho", "rhs", "a", "a_pinv",
+                 "region", "stale", "f", "f_new", "g", "g_new", "gg", "jac", "t_trial")
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep the rows where `keep` holds in every entry set but a shared problem
+        (`take` gathers small arrays' rows in half the time of a boolean mask)."""
+        rows = np.flatnonzero(keep)
+        for name in self.__slots__:
+            v = getattr(self, name, None)
+            if v is not None and not (name in ("M", "y") and self.M.ndim == 2):
+                setattr(self, name, tuple(a.take(rows, axis=0) for a in v)
+                        if isinstance(v, tuple) else v.take(rows, axis=0))
+
+
 class _Block:
     """Per-row bookkeeping for a block of starting points run in lockstep.
 
     The block is one problem's (B, k) starting points, or T problems'
     (T, R, k) starting points flattened to T R rows, each problem (trial)
-    a run of R consecutive rows. `rows` holds the original indices of the
-    rows still running, in order; the solver keeps its own state compacted
-    to those rows. Each row keeps its result (its last iterate, or with
-    `keep_best` the one with the smallest eps_m) and its stop state. Traces
-    are logged as one entry per iteration and assembled only for the rows
-    that win. The solvers call `stop` only when a row stops and `diverge`
-    tests a finite block as a whole: an iteration in which no row stops
-    does no stop bookkeeping.
+    a run of R consecutive rows. `s` (a `_RowState`) holds the state of the
+    rows still running: their original indices `rows`, in order, their
+    results so far, `eps_m` and `z_hat` (the last iterate, or with
+    `keep_best` the one with the smallest eps_m), their iterates `z`, and
+    every other array that the solver reads again after a `stop` or
+    `diverge`, both of which compact all of `s`. Traces are logged as one
+    entry per iteration and assembled only for the rows that win. The
+    solvers call `stop` only when a row stops and `diverge` tests a finite
+    block as a whole: an iteration in which no row stops does no stop
+    bookkeeping.
     """
 
     def __init__(self, z: np.ndarray, keep_best: bool):
         self.per_problem = z.ndim == 3
         self.group = z.shape[-2]   # rows per problem
         z = z.reshape(-1, z.shape[-1])
-        self.rows = np.arange(len(z))
         self.keep_best = keep_best
         self.z_hat = z.copy()
         self.eps_m = np.full(len(z), np.nan)
-        self._eps, self._z = self.eps_m.copy(), self.z_hat.copy()   # of the running rows
+        self.s = s = _RowState()
+        s.rows, s.eps_m, s.z_hat, s.z = np.arange(len(z)), self.eps_m.copy(), self.z_hat.copy(), z
         self.converged = np.zeros(len(z), dtype=bool)
         self.errors: dict[int, str] = {}
         self._log: list[tuple] = []
@@ -338,35 +359,31 @@ class _Block:
         """Log one iteration of the running rows (`primal` None logs NaN) and
         update their results, kept compacted with them until they stop. The
         arrays are kept, not copied: callers do not write into them later."""
-        self._log.append((self.rows, objective, primal, eps_m))
+        self._log.append((self.s.rows, objective, primal, eps_m))
         if self.keep_best and len(self._log) > 1:
-            better = eps_m < self._eps
-            np.copyto(self._eps, eps_m, where=better)
-            np.copyto(self._z, z, where=better[:, None])
+            better = eps_m < self.s.eps_m
+            np.copyto(self.s.eps_m, eps_m, where=better)
+            np.copyto(self.s.z_hat, z, where=better[:, None])
         else:   # keep_best updates its own copies in place
-            self._eps, self._z = (eps_m.copy(), z.copy()) if self.keep_best else (eps_m, z)
+            self.s.eps_m, self.s.z_hat = (eps_m.copy(), z.copy()) if self.keep_best else (eps_m, z)
 
-    def diverge(self, checked, *state, error: str) -> tuple:
+    def diverge(self, *checked, error: str) -> None:
         """`stop`, as diverged with `error`, the running rows with a
         non-finite entry in an array of `checked`."""
         if all(np.isfinite(a).all() for a in checked):
-            return state
+            return
         finite = np.logical_and.reduce([_finite(a.reshape(len(a), -1)) for a in checked])
-        return self.stop(~finite, *state, error=error)
+        self.stop(~finite, error=error)
 
-    def stop(self, mask, *state, converged=False, error=None) -> tuple:
+    def stop(self, mask, *, converged=False, error=None) -> None:
         """Stop the running rows where `mask` holds, as converged or as
-        diverged with `error`, and return `state` compacted to the others.
-        A tuple in `state` is compacted array by array."""
-        stopped, keep = self.rows[mask], ~mask
+        diverged with `error`, and compact `s` to the others."""
+        stopped, keep = self.s.rows[mask], ~mask
         self.converged[stopped] = converged
         if error is not None:
             self.errors.update(dict.fromkeys(stopped.tolist(), error))
-        self.eps_m[stopped], self.z_hat[stopped] = self._eps[mask], self._z[mask]
-        self._eps, self._z = self._eps[keep], self._z[keep]
-        self.rows = self.rows[keep]
-        return tuple(tuple(a[keep] for a in v) if isinstance(v, tuple) else v[keep]
-                     for v in state)
+        self.eps_m[stopped], self.z_hat[stopped] = self.s.eps_m[mask], self.s.z_hat[mask]
+        self.s.compact(keep)
 
     def trace(self, row: int) -> list[TraceRecord]:
         """`row`'s entry of each logged iteration it ran. Its position is
@@ -402,7 +419,7 @@ class _Block:
     def result(self, net: GeneratorNetwork) -> RecoveryResult | list:
         """One problem's result, raising its SolverDiverged; for T problems,
         the list of the T trials' results or SolverDiverged instances."""
-        self.eps_m[self.rows], self.z_hat[self.rows] = self._eps, self._z
+        self.eps_m[self.s.rows], self.z_hat[self.s.rows] = self.s.eps_m, self.s.z_hat
         out = [self._trial(net, start) for start in range(0, len(self.eps_m), self.group)]
         if not self.per_problem and isinstance(out[0], SolverDiverged):
             raise out[0]
@@ -437,9 +454,9 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     their region go through the layers. That differs from layered
     evaluation in the last bits, but does not depend on the caching.
 
-    `probe`, when given, is called once per iteration with the internal
-    quantities (A, rhs, z_new, w_input, w, lam) for diagnostics; it needs a
-    single starting point.
+    `probe`, when given, is called once per iteration with a dict of the
+    internal quantities for diagnostics: iteration, A, rhs, z_prev, z_new,
+    w_input, w, lam and rho. It needs a single starting point.
     """
     _check_method(cfg, ADMM_L1)
     M, y, z = _problem(net, M, y, cfg, z0)
@@ -449,82 +466,71 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     m = y.shape[-1]
     tol_primal = cfg.tol_primal if cfg.tol_primal is not None else 1e-6 * math.sqrt(m)
     blk = _Block(z, keep_best=True)
-    z = z.reshape(-1, net.k)
-    problem = _per_row(M, y)
-    x, pat = forward_pattern(net, z)
-    mgz = matvec(M, x)
-    w = mgz - y
-    lam = np.zeros_like(w)
-    eps_m = _l1(y - mgz)
-    blk.record(eps_m, _norm(mgz - w - y), eps_m, z)
+    s = blk.s
+    s.M, s.y = M, y
+    x, s.pat = forward_pattern(net, s.z)
+    s.mgz = matvec(M, x)
+    s.w = s.mgz - y
+    s.lam = np.zeros_like(s.w)
+    eps_m = _l1(y - s.mgz)
+    blk.record(eps_m, _norm(s.mgz - s.w - y), eps_m, s.z)
 
-    # Each row's cached A and its pseudo-inverse, and on the region model
-    # also `region` = (P, p, c = M g), empty below the cut; all rebuilt where
-    # `stale`. Below the cut the loop stays the layered one, with no helper
-    # call per iteration, and `stop` takes `region` as one tuple: star-passing
-    # its arrays and calling `_evaluate` made 10-row solves on [5,30,60] nets
-    # 3-9% slower in the benchmark.
-    rows = len(z)
-    a, a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
-    region = ()
+    # Each row's cached A, its pseudo-inverse and on the region model
+    # `region` = (P, p, c = M g), () below the cut, are rebuilt where `stale`.
+    # Below the cut the loop calls no helper per iteration: calling
+    # `_evaluate` there made 10-row solves on [5,30,60] nets 3-9% slower.
+    rows = len(s.z)
+    s.a, s.a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
+    s.region = ()
     if _uses_region_model(net, m):
-        region = (np.empty((rows, pat.shape[1], net.k)), np.empty(pat.shape), np.empty((rows, m)))
-    stale = np.ones(rows, dtype=bool)
+        s.region = (np.empty((rows, s.pat.shape[1], net.k)), np.empty(s.pat.shape),
+                    np.empty((rows, m)))
+    s.stale = np.ones(rows, dtype=bool)
     for q in range(1, cfg.max_iters + 1):
-        if stale.any():
-            if region:
-                _rebuild(net, M, pat, stale, a, region)
+        if s.stale.any():
+            if s.region:
+                _rebuild(net, s.M, s.pat, s.stale, s.a, s.region)
             else:
-                a[stale] = _rows(M, stale) @ jacobian(net, z[stale])
-            a_pinv[stale] = pseudo_inverse(a[stale])
-        lam_rho = lam / rho
-        rhs = w + y - lam_rho - (mgz - matvec(a, z))
-        z_new = matvec(a_pinv, rhs)
-        z, z_new, mgz, pat, w, lam, lam_rho, a, a_pinv, rhs, region, problem = blk.diverge(
-            (z_new,), z, z_new, mgz, pat, w, lam, lam_rho, a, a_pinv, rhs, region, problem,
-            error=f"non-finite z iterate at iteration {q}")
-        if not blk.rows.size:
+                s.a[s.stale] = _rows(s.M, s.stale) @ jacobian(net, s.z[s.stale])
+            s.a_pinv[s.stale] = pseudo_inverse(s.a[s.stale])
+        s.lam_rho = s.lam / rho
+        s.rhs = s.w + s.y - s.lam_rho - (s.mgz - matvec(s.a, s.z))
+        s.z_new = matvec(s.a_pinv, s.rhs)
+        blk.diverge(s.z_new, error=f"non-finite z iterate at iteration {q}")
+        if not s.rows.size:
             break
-        M, y = problem or (M, y)
-        if region:
-            mgz_new, pat_new = _evaluate(net, M, z_new, pat, a, region)
+        if s.region:
+            s.mgz, s.pat_new = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region)
         else:
-            x_new, pat_new = forward_pattern(net, z_new)
-            mgz_new = matvec(M, x_new)
-        w_input = mgz_new - y + lam_rho
-        w = soft_threshold(w_input, 1.0 / rho)
-        r = mgz_new - w - y
-        lam = lam + rho * r
+            x_new, s.pat_new = forward_pattern(net, s.z_new)
+            s.mgz = matvec(s.M, x_new)
+        s.w_input = s.mgz - s.y + s.lam_rho
+        s.w = soft_threshold(s.w_input, 1.0 / rho)
+        s.r = s.mgz - s.w - s.y
+        s.lam = s.lam + rho * s.r
         # The multiplier was finite, so the new one is finite only where w is too.
-        (z, z_new, mgz_new, pat, pat_new, w_input, w, r, lam, a, a_pinv, rhs, region,
-         problem) = blk.diverge(
-            (lam,), z, z_new, mgz_new, pat, pat_new, w_input, w, r, lam, a, a_pinv, rhs, region,
-            problem, error=f"non-finite w/lambda at iteration {q}")
-        if not blk.rows.size:
+        blk.diverge(s.lam, error=f"non-finite w/lambda at iteration {q}")
+        if not s.rows.size:
             break
-        M, y = problem or (M, y)
 
-        primal = _norm(r)
-        eps_m = _l1(y - mgz_new)
-        blk.record(eps_m, primal, eps_m, z_new)
+        primal = _norm(s.r)
+        eps_m = _l1(s.y - s.mgz)
+        blk.record(eps_m, primal, eps_m, s.z_new)
         if probe is not None:
             # A copy: the cached A is overwritten in place when the pattern changes.
-            probe({"iteration": q, "A": a[0].copy(), "rhs": rhs[0], "z_prev": z[0],
-                   "z_new": z_new[0], "w_input": w_input[0], "w": w[0], "lam": lam[0],
-                   "rho": rho})
+            probe({"iteration": q, "A": s.a[0].copy(), "rhs": s.rhs[0], "z_prev": s.z[0],
+                   "z_new": s.z_new[0], "w_input": s.w_input[0], "w": s.w[0],
+                   "lam": s.lam[0], "rho": rho})
 
-        stale = _stale(pat, pat_new)
-        z_prev, z, mgz, pat = z, z_new, mgz_new, pat_new
+        s.stale = _stale(s.pat, s.pat_new)
+        z_prev, s.z, s.pat = s.z, s.z_new, s.pat_new
         done = primal < tol_primal
         if done.any():   # the step matters only where the primal residual is small
-            done &= _norm(z - z_prev) < cfg.tol_step
+            done &= _norm(s.z - z_prev) < cfg.tol_step
             if done.any():
-                z, mgz, pat, stale, w, lam, a, a_pinv, region, problem = blk.stop(
-                    done, z, mgz, pat, stale, w, lam, a, a_pinv, region, problem,
-                    converged=True)
-                if not blk.rows.size:
+                blk.stop(done, converged=True)
+                if not s.rows.size:
                     break
-                M, y = problem or (M, y)
     return blk.result(net)
 
 
@@ -557,34 +563,31 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     trying one step at a time, as `value` treats each row on its own.
     """
     blk = _Block(z, keep_best=False)
-    z = z.reshape(-1, z.shape[-1])
+    s = blk.s
+    s.problem = problem
     m = y.shape[-1]
-    f, r, pres = value(z, *problem)
-    pat = activation_pattern(net, pres)
-    z, f, r, pat, problem = blk.diverge((f,), z, f, r, pat, problem,
-                                        error="non-finite objective at the initial point")
-    jac = jacobian(net, z)
-    g = grad(z, r, jac, *problem)
-    z, f, r, g, pat, jac, problem = blk.diverge((g,), z, f, r, g, pat, jac, problem,
-                                                error="non-finite gradient at the initial point")
-    blk.record(f, None, _l1(r), z)
-    z, f, g, pat, jac, problem = blk.stop(~g.any(axis=-1), z, f, g, pat, jac, problem,
-                                          converged=True)
+    s.f, s.r, pres = value(s.z, *s.problem)
+    s.pat = activation_pattern(net, pres)
+    blk.diverge(s.f, error="non-finite objective at the initial point")
+    s.jac = jacobian(net, s.z)
+    s.g = grad(s.z, s.r, s.jac, *s.problem)
+    blk.diverge(s.g, error="non-finite gradient at the initial point")
+    blk.record(s.f, None, _l1(s.r), s.z)
+    blk.stop(~s.g.any(axis=-1), converged=True)
 
     macs = _row_macs(net, m)
-    t_trial = np.full(len(z), cfg.step_init)
+    s.t_trial = np.full(len(s.z), cfg.step_init)
     for q in range(1, cfg.max_iters + 1):
-        if not blk.rows.size:
+        if not s.rows.size:
             break
-        gg = _dot(g, g)
-        if not gg.all():
-            z, f, g, gg, t_trial, pat, jac, problem = blk.stop(
-                gg == 0.0, z, f, g, gg, t_trial, pat, jac, problem, converged=True)
-        z_new, f_new, r_new = np.empty_like(z), np.empty_like(f), np.empty((len(z), m))
-        pat_new = np.empty_like(pat)
-        todo, t, tried = np.arange(len(z)), t_trial, 0
+        s.gg = _dot(s.g, s.g)
+        if not s.gg.all():
+            blk.stop(s.gg == 0.0, converged=True)
+        s.z_new, s.f_new, s.r_new = np.empty_like(s.z), np.empty_like(s.f), np.empty((len(s.z), m))
+        s.pat_new = np.empty_like(s.pat)
+        todo, t, tried = np.arange(len(s.z)), s.t_trial, 0
         while todo.size and tried < _MAX_BACKTRACKS:
-            sel = todo if todo.size < len(z) else slice(None)   # views on the first pass
+            sel = todo if todo.size < len(s.z) else slice(None)   # views on the first pass
             width = min(max(1, _LINE_SEARCH_PASS_MACS // (todo.size * macs)),
                         _MAX_BACKTRACKS - tried)
             # Row i's steps t_i, t_i s, t_i s^2, ...: the accumulation
@@ -592,9 +595,9 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             steps = np.empty((todo.size, width))
             steps[:, 0], steps[:, 1:] = t, cfg.armijo_shrink
             np.multiply.accumulate(steps, axis=1, out=steps)
-            z_try = (z[sel, None] - steps[..., None] * g[sel, None]).reshape(-1, z.shape[1])
-            f_try, r_try, pres = value(z_try, *(a[sel] for a in problem))
-            armijo = f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
+            z_try = (s.z[sel, None] - steps[..., None] * s.g[sel, None]).reshape(-1, s.z.shape[1])
+            f_try, r_try, pres = value(z_try, *(a[sel] for a in s.problem))
+            armijo = s.f[sel, None] - cfg.armijo_c * steps * s.gg[sel, None]
             ok = (np.isfinite(f_try) & (f_try <= armijo.ravel())).reshape(steps.shape)
             hit = ok.any(axis=1)
             pick = np.arange(0, ok.size, width) + ok.argmax(axis=1)
@@ -603,34 +606,29 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             else:
                 pick, done, todo, t = (pick[hit], todo[hit], todo[~hit],
                                        steps[~hit, -1] * cfg.armijo_shrink)
-            z_new[done], f_new[done], r_new[done] = z_try[pick], f_try[pick], r_try[pick]
-            if pat.shape[1]:   # identity nets have no pattern
-                pat_new[done] = activation_pattern(net, pres)[pick]
+            s.z_new[done], s.f_new[done], s.r_new[done] = z_try[pick], f_try[pick], r_try[pick]
+            if s.pat.shape[1]:   # identity nets have no pattern
+                s.pat_new[done] = activation_pattern(net, pres)[pick]
             tried += width
         if todo.size:   # rows whose trial steps all failed: stalled
-            z, g, z_new, f_new, r_new, pat, pat_new, jac, problem = blk.stop(
-                np.isin(np.arange(len(z)), todo), z, g, z_new, f_new, r_new, pat, pat_new, jac,
-                problem)
-        stale = _stale(pat, pat_new)
+            blk.stop(np.isin(np.arange(len(s.z)), todo))
+        stale = _stale(s.pat, s.pat_new)
         if stale.any():
-            jac[stale] = jacobian(net, z_new[stale])
-        g_new = grad(z_new, r_new, jac, *problem)
-        z, g, z_new, f_new, r_new, g_new, pat_new, jac, problem = blk.diverge(
-            (z_new, g_new), z, g, z_new, f_new, r_new, g_new, pat_new, jac, problem,
-            error=f"non-finite iterate at iteration {q}")
+            s.jac[stale] = jacobian(net, s.z_new[stale])
+        s.g_new = grad(s.z_new, s.r_new, s.jac, *s.problem)
+        blk.diverge(s.z_new, s.g_new, error=f"non-finite iterate at iteration {q}")
 
-        s = z_new - z
-        ss, sy = _dot(s, s), _dot(s, g_new - g)
+        step = s.z_new - s.z
+        ss, sy = _dot(step, step), _dot(step, s.g_new - s.g)
         bb = (sy > 0) & np.isfinite(sy)
-        t_trial = np.where(bb, np.minimum(np.maximum(ss / np.where(bb, sy, 1.0), 1e-20), 1e20),
-                           cfg.step_init)
+        s.t_trial = np.where(bb, np.minimum(np.maximum(ss / np.where(bb, sy, 1.0), 1e-20), 1e20),
+                             cfg.step_init)
 
-        z, f, g, pat = z_new, f_new, g_new, pat_new
-        blk.record(f, None, _l1(r_new), z)
+        s.z, s.f, s.g, s.pat = s.z_new, s.f_new, s.g_new, s.pat_new
+        blk.record(s.f, None, _l1(s.r_new), s.z)
         done = np.sqrt(ss) < cfg.tol_step
         if done.any():
-            z, f, g, t_trial, pat, jac, problem = blk.stop(
-                done, z, f, g, t_trial, pat, jac, problem, converged=True)
+            blk.stop(done, converged=True)
     return blk.result(net)
 
 
@@ -657,7 +655,7 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
         return (2.0 * _l1(r))[:, None] * matvec(jt, matvec(np.swapaxes(M, -1, -2),
                                                            np.sign(r)))
 
-    return _descend(net, y, cfg, z, value, grad, *_per_row(M, y))
+    return _descend(net, y, cfg, z, value, grad, *((M, y) if M.ndim == 3 else ()))
 
 
 def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
@@ -683,7 +681,7 @@ def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
             g = g + 2.0 * lam * z
         return g
 
-    return _descend(net, y, cfg, z, value, grad, *_per_row(M, y))
+    return _descend(net, y, cfg, z, value, grad, *((M, y) if M.ndim == 3 else ()))
 
 
 _SOLVERS: dict[str, Callable] = {

@@ -158,3 +158,64 @@ class TestStopBookkeeping:
         for (M, y), z, res in zip(problems, z0, out):
             single = solver(net, M, y, cfg, z0=z[res.restart_index])
             assert _fields(single) == _fields(res)
+
+
+class TestRowState:
+    """Every `stop` and `diverge` leaves each entry of the block's row state
+    `_Block.s` with one row per running row, and a problem that all rows
+    share is the caller's own array, never compacted or copied."""
+
+    # (region model, method, poisoned quantity, its call, the stop site's
+    # message): each divergence site of SITES, and ADMM's also on the region
+    # model with the cut lowered.
+    CASES = [(False, *site[:4]) for site in SITES] + \
+        [(True, *site[:4]) for site in SITES if site[0] == "admm-l1"]
+
+    @staticmethod
+    def _checking(monkeypatch, shared):
+        """Wrap `stop` and `diverge` to check the row state after each call;
+        `shared` is the caller's (M, y) of one problem, or None. A `stop`
+        must also leave exactly the rows outside its mask running. Returns
+        the blocks checked, one entry per call."""
+        blocks = []
+
+        def check(blk, running):
+            blocks.append(blk)
+            assert running is None or len(blk.s.rows) == running
+            for name in blk.s.__slots__:
+                value = getattr(blk.s, name, None)
+                if value is None:
+                    continue
+                if shared is not None and name in ("M", "y"):
+                    assert value is shared[name == "y"], name
+                    continue
+                for a in value if isinstance(value, tuple) else (value,):
+                    assert len(a) == len(blk.s.rows), name
+
+        for name in ("stop", "diverge"):
+            def checked(self, *args, _name=name, _original=getattr(solvers._Block, name), **kw):
+                running = len(self.s.rows) - int(np.sum(args[0])) if _name == "stop" else None
+                _original(self, *args, **kw)
+                check(self, running)
+            monkeypatch.setattr(solvers._Block, name, checked)
+        return blocks
+
+    @pytest.mark.parametrize("trials", [False, True], ids=["one-problem", "three-trials"])
+    @pytest.mark.parametrize("region_model, method, where, call, site", CASES)
+    def test_every_entry_is_compacted_and_a_shared_problem_kept(
+            self, monkeypatch, trials, region_model, method, where, call, site):
+        if region_model:
+            monkeypatch.setattr(solvers, "_REGION_MODEL_MIN_MACS", 0)
+        net, insts = _instances()
+        solver, cfg = SOLVERS[method], SolverConfig(method=method, max_iters=40)
+        if trials:
+            M, y = _stacks([(i.M, i.y) for i in insts])
+            z0 = np.random.default_rng(7).standard_normal((3, 2, net.k))
+        else:
+            M, y = insts[0].M, insts[0].y
+            z0 = np.random.default_rng(7).standard_normal((3, net.k))
+        blocks = self._checking(monkeypatch, None if trials else (M, y))
+        _poison(monkeypatch, net, where, call, row=1)
+        out = solver(net, M, y, cfg, z0=z0)
+        assert all(not isinstance(res, SolverDiverged) for res in (out if trials else [out]))
+        assert list(blocks[-1].errors.values()) == [site]
