@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # float64 entries per batched block (256 KiB). Batched checks work through
 # their trials in chunks of this many entries, so peak memory does not grow
@@ -68,13 +71,151 @@ def row_chunks(rows: int, width: int) -> list[slice]:
 
 
 def substream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    """Independent RNG substream addressed by a spawn key.
+    """Independent RNG substream addressed by a spawn key: the stream of
+    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))`.
+    See `substreams`, which derives it."""
+    return substreams(seed, [spawn_key])[0]
 
-    The same stream `np.random.default_rng(SeedSequence(...))` gives, built
-    without default_rng's argument dispatch.
+
+# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# The same as uint64 scalars, so that array arithmetic stays uint64 under
+# numpy 1.24's value-based casting and numpy 2's rules alike.
+_M32, _L, _R, _S16, _S32 = (np.uint64(c) for c in (_MASK32, _MIX_L, _MIX_R, 16, 32))
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i < count: a running hash constant."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint64)
+
+
+# generate_state(4, uint64) reads the pool round twice; word i is xored with
+# the hash constant before its step and multiplied by the one after.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
+_STATE_XOR, _STATE_MUL = _STATE_CONSTS[:-1], _STATE_CONSTS[1:]
+_STATE_LANES = np.arange(2 * _POOL) % _POOL
+
+
+def _int_words(value) -> list[int]:
+    """The 32-bit words SeedSequence reads from one entropy or key integer,
+    least significant first; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_part(seed: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SeedSequence(seed, spawn_key=key)'s pool after the seed's entropy
+    words, the same for every key, and the xor and multiply hash constants
+    of each lane for the `width` key words that follow, as (width, 4) blocks.
+
+    The seed's words are padded with zeros to the pool size as a spawn key
+    does; an empty key gives the same pool, as running the hash out on
+    zeros equals mixing in zero words.
     """
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(int(seed), spawn_key=spawn_key)))
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        value ^= hc
+        hc = hc * _MULT_A & _MASK32
+        value = value * hc & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    words = _int_words(seed)
+    words += [0] * (_POOL - len(words))
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    consts = _hash_consts(hc, _MULT_A, _POOL * width + 1)
+    out = (np.array(pool, dtype=np.uint64),
+           consts[:-1].reshape(width, _POOL), consts[1:].reshape(width, _POOL))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _key_words(keys: list[tuple]) -> np.ndarray:
+    """The keys' 32-bit words as a (len(keys), words) uint64 block."""
+    rows = [[w for v in key for w in _int_words(v)] for key in keys]
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("the spawn keys of one call must have equal word counts")
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), len(rows[0]))
+
+
+class _SeedWords(ISeedSequence):
+    """Four fixed uint64 seed words, handed to PCG64 as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("fixed seed words give only generate_state(4, np.uint64)")
+        return self.words
+
+
+def substreams(seed: int, keys) -> list[np.random.Generator]:
+    """Independent RNG substreams of `seed`, one per spawn key of `keys`.
+
+    Entry i is, byte for byte, the stream that
+    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys[i]))`
+    gives; this rests on NumPy's stream-compatibility policy for
+    SeedSequence and PCG64. SeedSequence's pool mixing is split in two: the
+    seed's part, cached per seed, and the keys' part, run on a (keys, pool)
+    block of uint64 words masked to 32 bits, followed by
+    generate_state(4, uint64) on the block. Each row's four words seed
+    PCG64 through its own, unchanged seeding. A generator's
+    `bit_generator.seed_seq` is therefore a fixed-words object, not a
+    SeedSequence, and cannot spawn; nothing in genrec spawns from it.
+
+    Each key int counts as its 32-bit words (0 is one word), as
+    SeedSequence reads it; the keys of one call must give equal word
+    counts. Negative seeds or key ints raise ValueError, as SeedSequence
+    does.
+    """
+    keys = list(keys)
+    if not keys:
+        return []
+    words = _key_words(keys)
+    pool, xor, mul = _seed_part(int(seed), words.shape[1])
+    # Each key word mixes into every lane with that lane's hash constants;
+    # values are below 2**32 before each multiply, so products fit uint64.
+    for j in range(words.shape[1]):
+        h = (words[:, j, None] ^ xor[j]) * mul[j] & _M32
+        h ^= h >> _S16
+        pool = (_L * pool - _R * h) & _M32
+        pool ^= pool >> _S16
+    state = (pool[..., _STATE_LANES] ^ _STATE_XOR) * _STATE_MUL & _M32
+    state ^= state >> _S16
+    # One C-ordered row per key (PCG64 reads the words through their data
+    # pointer); with empty keys every row is the seed's own state.
+    seeds = np.empty((len(keys), _POOL), dtype=np.uint64)
+    np.bitwise_or(state[..., 0::2], state[..., 1::2] << _S32, out=seeds)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
 
 
 def read_json(path):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from ._common import child_seeds, row_chunks, substream
+from ._common import child_seeds, row_chunks, substream, substreams
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
@@ -302,8 +302,7 @@ def _check_gaussian_full_rank(params, seed):
     min_margin = math.inf
     # Kept as a loop: the time is in LAPACK, one SVD per matrix either way.
     for si, shape in enumerate(shapes):
-        for t in range(trials):
-            rng = substream(seed, (si, t))
+        for rng in substreams(seed, [(si, t) for t in range(trials)]):
             a = rng.standard_normal(shape)
             sv = np.linalg.svd(a, compute_uv=False)
             margin = float(sv[-1]) - 1e-10 * float(sv[0])
@@ -342,11 +341,13 @@ def _check_leaky_beta_range(params, seed):
         # One stream for all trials, normal and uniform draws interleaved:
         # the draws stay a loop, the slopes are one leaky_beta_vector call.
         draws = array.array("d")
+        # Scalar draws take the same doubles as standard_normal(2) and
+        # uniform(1e-6, 1.0), which computes low + (high - low) * random().
         for _ in range(rows.start, rows.stop):
-            x, y = rng.standard_normal(2).tolist()
+            x, y = rng.standard_normal(), rng.standard_normal()
             while x == y:
-                x, y = rng.standard_normal(2).tolist()
-            draws.extend((x, y, rng.uniform(1e-6, 1.0)))
+                x, y = rng.standard_normal(), rng.standard_normal()
+            draws.extend((x, y, 1e-6 + (1.0 - 1e-6) * rng.random()))
         x, y, h = np.frombuffer(draws).reshape(-1, 3).T
         beta = theory.leaky_beta_vector(x, y, h)
         min_margin = min(min_margin, float(np.min(np.minimum(beta - h, 1.0 - beta))))
@@ -363,8 +364,8 @@ def _check_leaky_layer_lift(params, seed):
     failures = 0
     min_margin = math.inf
     for rows in row_chunks(pairs, 2 * max(net.dims)):
-        zz = np.stack([substream(seed, (t,)).standard_normal((2, net.k))
-                       for t in range(rows.start, rows.stop)])
+        keys = [(t,) for t in range(rows.start, rows.stop)]
+        zz = np.stack([rng.standard_normal((2, net.k)) for rng in substreams(seed, keys)])
         for ratios in theory.leaky_layer_ratios(net, zz[:, 0], zz[:, 1]):
             finite = np.isfinite(ratios)
             has = np.any(finite, axis=1)   # a pair-layer with no finite ratio is skipped
@@ -405,8 +406,7 @@ def _check_relu_path_slope(params, seed):
     worst = 0.0
     # Kept as a loop: _safe_slope_case rejects and redraws from the case's
     # stream, so how many draws a case takes depends on the draws themselves.
-    for t in range(cases):
-        rng = substream(seed, (t,))
+    for rng in substreams(seed, [(t,) for t in range(cases)]):
         hcol, gc, tval, eps = _safe_slope_case(rng, n)
         slope = theory.relu_path_slope(hcol, gc, tval)
         fd = (theory.relu_path_value(hcol, gc, tval + eps)
@@ -457,8 +457,7 @@ def _check_l0_roundtrip(params, seed):
     cases = int(params.get("cases", 12))
     discrepancies = 0
     details = []
-    for t in range(cases):
-        rng = substream(seed, (t,))
+    for t, rng in enumerate(substreams(seed, [(t,) for t in range(cases)])):
         good = t % 3 != 2   # two generic cases, then one engineered failure
         if good:
             m, l = 11 + t % 5, 1 + t % 2

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._common import as_matrix, as_rows, as_vector, matvec, substream
+from ._common import as_matrix, as_rows, as_vector, matvec, substreams
 from .generator import (GeneratorNetwork, activation_pattern, forward, forward_pattern,
                         jacobian, layer_preactivations, region_maps)
 
@@ -165,11 +165,6 @@ def metrics(net: GeneratorNetwork, M, y, z_hat, x0=None) -> Metrics:
     return Metrics(eps_m, eps_r, eps_r / net.n)
 
 
-def _initial_z(net: GeneratorNetwork, cfg: SolverConfig, restart: int) -> np.ndarray:
-    rng = substream(cfg.seed, (restart,))
-    return rng.normal(0.0, cfg.init_scale, size=net.k)
-
-
 def _check_method(cfg: SolverConfig, *allowed: str) -> None:
     if cfg.method not in allowed:
         raise ValueError(f"config method {cfg.method!r} does not match solver {allowed}")
@@ -191,8 +186,7 @@ def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
         raise ValueError(f"M has {M.shape[-1]} columns, net outputs {net.n}")
     if M.ndim == 2:
         y = as_vector(y, M.shape[0], "y")
-        z = np.array(_initial_z(net, cfg, 0) if z0 is None else as_rows(z0, net.k, "z0"),
-                     ndmin=2)
+        z = _starts(net, cfg, 1) if z0 is None else np.array(as_rows(z0, net.k, "z0"), ndmin=2)
         if not len(z):
             raise ValueError("z0 needs at least one starting point")
         return M, y, z
@@ -314,15 +308,29 @@ class _RowState:
                  "r", "r_new", "mgz", "w", "w_input", "lam", "lam_rho", "rhs", "a", "a_pinv",
                  "region", "stale", "f", "f_new", "g", "g_new", "gg", "jac", "t_trial")
 
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, None)
+
     def compact(self, keep: np.ndarray) -> None:
         """Keep the rows where `keep` holds in every entry set but a shared problem
-        (`take` gathers small arrays' rows in half the time of a boolean mask)."""
+        (`take` gathers small arrays' rows in half the time of a boolean mask).
+        An array held under several names is gathered once and stays shared."""
         rows = np.flatnonzero(keep)
+        # Keyed by id: the arrays looked up all lived, held by their entries,
+        # when compaction began, so no two of them share an id.
+        taken = {}
+
+        def take(a):
+            if id(a) not in taken:
+                taken[id(a)] = a.take(rows, axis=0)
+            return taken[id(a)]
+
+        shared = self.M is not None and self.M.ndim == 2
         for name in self.__slots__:
-            v = getattr(self, name, None)
-            if v is not None and not (name in ("M", "y") and self.M.ndim == 2):
-                setattr(self, name, tuple(a.take(rows, axis=0) for a in v)
-                        if isinstance(v, tuple) else v.take(rows, axis=0))
+            v = getattr(self, name)
+            if v is not None and not (shared and name in ("M", "y")):
+                setattr(self, name, tuple(map(take, v)) if isinstance(v, tuple) else take(v))
 
 
 class _Block:
@@ -692,9 +700,12 @@ _SOLVERS: dict[str, Callable] = {
 }
 
 
-def _starts(net: GeneratorNetwork, cfg: SolverConfig) -> np.ndarray:
-    """The (restarts, k) block of multi_restart's starting points."""
-    return np.stack([_initial_z(net, cfg, i) for i in range(cfg.restarts)])
+def _starts(net: GeneratorNetwork, cfg: SolverConfig, count: int | None = None) -> np.ndarray:
+    """The (count, k) block of multi_restart's first `count` (default
+    cfg.restarts) starting points: restart i draws N(0, init_scale^2 I) from
+    substream (i,) of cfg.seed."""
+    rngs = substreams(cfg.seed, [(i,) for i in range(cfg.restarts if count is None else count)])
+    return np.stack([rng.normal(0.0, cfg.init_scale, size=net.k) for rng in rngs])
 
 
 def multi_restart(net: GeneratorNetwork, M, y, cfg: SolverConfig,

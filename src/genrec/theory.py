@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import as_matrix, as_rows, as_vector, matvec, row_chunks, substream
+from ._common import as_matrix, as_rows, as_vector, matvec, row_chunks, substreams
+from ._common import substream  # noqa: F401  a module attribute the tests patch
 from .generator import GeneratorNetwork, LEAKY_RELU, forward, layer_preactivations
 from .solvers import _dot, default_zero_tol
 
@@ -286,8 +287,8 @@ def estimate_rho_star(net: GeneratorNetwork, trials: int, rho_grid,
             r = np.empty((count, net.k))
             c = np.empty((count, net.k))
             idx = np.empty((count, size), dtype=np.intp)
-            for i, t in enumerate(range(rows.start, rows.stop)):
-                rng = substream(seed, (ri, t))
+            keys = [(ri, t) for t in range(rows.start, rows.stop)]
+            for i, rng in enumerate(substreams(seed, keys)):
                 r[i] = rng.standard_normal(net.k)
                 c[i] = rng.standard_normal(net.k)
                 while not np.any(c[i]):
@@ -379,15 +380,14 @@ def norm_bounds_check(H, trials: int, h: float, rho_grid=None,
     for rows in row_chunks(trials, n):
         # Draws stay per trial, each from its own substream; everything after
         # them runs on the block.
-        g = np.stack([substream(seed, (t,)).standard_normal(nm)
-                      for t in range(rows.start, rows.stop)])
+        rngs = substreams(seed, [(t,) for t in range(rows.start, rows.stop)])
+        g = np.stack([rng.standard_normal(nm) for rng in rngs])
         norm = np.sqrt(_dot(g, g))   # rounds as np.linalg.norm of each row
         for i in np.flatnonzero(norm == 0.0):
-            # A zero draw: replay the trial's substream, redrawing until the
-            # norm is nonzero as a single trial does.
-            rng = substream(seed, (rows.start + i,))
+            # A zero draw: go on drawing from the trial's substream until the
+            # norm is nonzero, as a single trial does.
             while norm[i] == 0.0:
-                g[i] = rng.standard_normal(nm)
+                g[i] = rngs[i].standard_normal(nm)
                 norm[i] = np.linalg.norm(g[i])
         hv = np.abs(matvec(H, g / norm[:, None]))
         ratio = np.sum(hv, axis=1) / n

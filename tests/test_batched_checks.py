@@ -271,6 +271,35 @@ class TestNormBounds:
         same_reports([theory.norm_bounds_check(H, 9, 0.4, seed=2)],
                      [ref_norm_bounds_check(H, 9, 0.4, seed=2)])
 
+    def test_zero_draw_in_a_block_is_redrawn_as_the_loop_does(self, small_blocks, monkeypatch):
+        # Trial 6 sits in the second 5-row chunk; its block stream is asked
+        # for a second draw only if the redraw branch runs.
+        draws = []
+
+        class ZeroFirst:
+            """Trial 6's stream, with an all-zero draw put in front of it."""
+            def __init__(self, rng, log):
+                self.rng, self.log = rng, log
+
+            def standard_normal(self, size):
+                self.log.append(size)
+                return np.zeros(size) if len(self.log) == 1 else self.rng.standard_normal(size)
+
+        def zero_first_at_6(seed, key):
+            rng = _common.substream(seed, key)
+            return ZeroFirst(rng, []) if key == (6,) else rng
+
+        def zero_first_at_6_block(seed, keys):
+            return [ZeroFirst(rng, draws) if key == (6,) else rng
+                    for key, rng in zip(keys, _common.substreams(seed, keys))]
+
+        monkeypatch.setattr(theory, "substreams", zero_first_at_6_block)
+        monkeypatch.setattr(sys.modules[__name__], "substream", zero_first_at_6)
+        H = np.random.default_rng(5).standard_normal((20, 9))
+        same_reports([theory.norm_bounds_check(H, 9, 0.4, seed=2)],
+                     [ref_norm_bounds_check(H, 9, 0.4, seed=2)])
+        assert len(draws) == 2
+
 
 # ---------------------------------------------------------------------------
 # estimate_rho_star

@@ -219,3 +219,28 @@ class TestRowState:
         out = solver(net, M, y, cfg, z0=z0)
         assert all(not isinstance(res, SolverDiverged) for res in (out if trials else [out]))
         assert list(blocks[-1].errors.values()) == [site]
+
+    @pytest.mark.parametrize("method", ["gd-l1sq", "gd-l2sq"])
+    def test_a_stop_keeps_shared_entries_shared(self, monkeypatch, method):
+        """An array held under several names of the row state is gathered once,
+        so after a `stop` the names still hold one array: GD's `z` and
+        `z_new` after an accepted step, and its `z_hat`, which is `z`."""
+        def aliased(s):
+            held = [(name, getattr(s, name)) for name in s.__slots__]
+            return {(a, b) for i, (a, u) in enumerate(held) for b, v in held[i + 1:]
+                    if u is not None and u is v}
+
+        seen = []
+        original = solvers._Block.stop
+
+        def stop(self, mask, **kw):
+            before = aliased(self.s)
+            original(self, mask, **kw)
+            assert aliased(self.s) == before
+            seen.append((before, len(self.s.rows)))
+        monkeypatch.setattr(solvers._Block, "stop", stop)
+        net, insts = _instances()
+        z0 = np.random.default_rng(8).standard_normal((6, net.k))
+        SOLVERS[method](net, insts[0].M, insts[0].y, SolverConfig(method=method), z0=z0)
+        assert any(("z", "z_new") in pairs and ("z_hat", "z") in pairs and running
+                   for pairs, running in seen)
