@@ -7,7 +7,6 @@ import json
 import operator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # float64 entries per batched block (256 KiB). Batched checks work through
 # their trials in chunks of this many entries, so peak memory does not grow
@@ -166,16 +165,23 @@ def _key_words(keys: list[tuple]) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(rows), len(rows[0]))
 
 
-class _SeedWords(ISeedSequence):
-    """Four fixed uint64 seed words, handed to PCG64 as its seed sequence."""
+@functools.cache
+def _seed_words():
+    """The ISeedSequence subclass that hands PCG64 four fixed uint64 seed
+    words. Defined on first use: `numpy.random` then loads only when a
+    stream is drawn, not on `import genrec`."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("fixed seed words give only generate_state(4, np.uint64)")
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("fixed seed words give only generate_state(4, np.uint64)")
+            return self.words
+
+    return _SeedWords
 
 
 def substreams(seed: int, keys) -> list[np.random.Generator]:
@@ -215,7 +221,8 @@ def substreams(seed: int, keys) -> list[np.random.Generator]:
     # pointer); with empty keys every row is the seed's own state.
     seeds = np.empty((len(keys), _POOL), dtype=np.uint64)
     np.bitwise_or(state[..., 0::2], state[..., 1::2] << _S32, out=seeds)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
 
 
 def read_json(path):

@@ -18,8 +18,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, substreams
-from .generator import (GeneratorNetwork, activation_pattern, forward, forward_pattern,
-                        jacobian, layer_preactivations, region_maps)
+from .generator import (IDENTITY, GeneratorNetwork, activation_pattern, compose_linear,
+                        forward, forward_pattern, jacobian, layer_preactivations,
+                        region_maps)
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -170,7 +171,7 @@ def _check_method(cfg: SolverConfig, *allowed: str) -> None:
         raise ValueError(f"config method {cfg.method!r} does not match solver {allowed}")
 
 
-def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
+def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0, compose: bool = False):
     """Validated problem arrays and starting points.
 
     One problem: M (m, n), y (m,) and z0 one code, a (B, k) block of codes,
@@ -178,6 +179,10 @@ def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
     T problems: M (T, m, n), y (T, m) and z0 a (T, R, k) block, R starting
     points per problem; M and y come back with one problem per row of z,
     (T R, m, n) and (T R, m), and z as the (T, R, k) block.
+
+    With `compose` (identity nets only), M and y come back composed with the
+    net, G(z) = W z + g everywhere: A = M W and b = y - M g, (m, k) and (m,)
+    or one per row, so that M G(z) - y = A z - b.
     """
     M = np.ascontiguousarray(M, dtype=np.float64)
     if M.ndim not in (2, 3):
@@ -189,16 +194,25 @@ def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0):
         z = _starts(net, cfg, 1) if z0 is None else np.array(as_rows(z0, net.k, "z0"), ndmin=2)
         if not len(z):
             raise ValueError("z0 needs at least one starting point")
+    else:
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        if y.shape != M.shape[:2]:
+            raise ValueError(f"y has shape {y.shape}, expected {M.shape[:2]}")
+        z = None if z0 is None else np.ascontiguousarray(z0, dtype=np.float64)
+        if z is None or z.ndim != 3 or z.shape[0] != len(M) or z.shape[2] != net.k \
+                or not z.size:
+            raise ValueError(f"{len(M)} problems need z0 as a ({len(M)}, R, {net.k}) block "
+                             f"with R >= 1, got {None if z is None else z.shape}")
+    if compose:   # before the repeat: one product per problem
+        M, y = M @ compose_linear(net), y - matvec(M, _offset(net))
+    if M.ndim == 2:
         return M, y, z
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape != M.shape[:2]:
-        raise ValueError(f"y has shape {y.shape}, expected {M.shape[:2]}")
-    z = None if z0 is None else np.ascontiguousarray(z0, dtype=np.float64)
-    if z is None or z.ndim != 3 or z.shape[0] != len(M) or z.shape[2] != net.k \
-            or not z.size:
-        raise ValueError(f"{len(M)} problems need z0 as a ({len(M)}, R, {net.k}) block "
-                         f"with R >= 1, got {None if z is None else z.shape}")
     return np.repeat(M, z.shape[1], axis=0), np.repeat(y, z.shape[1], axis=0), z
+
+
+def _offset(net: GeneratorNetwork) -> np.ndarray:
+    """G(0): an identity net's G(z) = J z + G(0) at every z."""
+    return forward(net, np.zeros(net.k))
 
 
 def _rows(M: np.ndarray, rows) -> np.ndarray:
@@ -262,6 +276,11 @@ _REGION_MODEL_MIN_MACS = 200_000
 # 500k and 14.0 s at 1M. The paper-scale net (809k per row) keeps one.
 _LINE_SEARCH_PASS_MACS = 200_000
 
+# solve_trials solves its trials in consecutive chunks whose per-row problem
+# copies (trials x restarts x m x n doubles: the solvers keep one M per row)
+# stay within this many doubles, and at least one trial per chunk.
+_TRIAL_BLOCK_DOUBLES = 1 << 20
+
 
 def _row_macs(net: GeneratorNetwork, m: int) -> int:
     """Multiply-adds of one layered evaluation of M G(z): k n_1 + ... + m n."""
@@ -272,21 +291,21 @@ def _uses_region_model(net: GeneratorNetwork, m: int) -> bool:
     return _row_macs(net, m) >= _REGION_MODEL_MIN_MACS
 
 
-def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region) -> None:
+def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region, c) -> None:
     """Refill the `stale` rows of admm_l1's region model in place from their
-    patterns: A = M J and `region` = (P, p, c = M g)."""
+    patterns: A = M J, `region` = (P, p) and c = M g."""
     maps = region_maps(net, pat[stale])
     M = _rows(M, stale)
     a[stale] = M @ maps.J
-    region[0][stale], region[1][stale], region[2][stale] = maps.P, maps.p, matvec(M, maps.g)
+    region[0][stale], region[1][stale], c[stale] = maps.P, maps.p, matvec(M, maps.g)
 
 
-def _evaluate(net: GeneratorNetwork, M, z, pat, a, region) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(net: GeneratorNetwork, M, z, pat, a, region, c) -> tuple[np.ndarray, np.ndarray]:
     """M G(z) and the activation pattern of each row of z, through the
-    region model `region` = (P, p, c): a row whose pre-activations P z + p
+    region model `region` = (P, p) and c: a row whose pre-activations P z + p
     keep the pattern its maps were built for stays in that region, where
     M G(z) = A z + c. Rows that left it go through the layers."""
-    big_p, small_p, c = region
+    big_p, small_p = region
     pat_new = matvec(big_p, z) + small_p >= 0.0
     left = (pat_new != pat).any(axis=-1)
     mgz = matvec(a, z) + c
@@ -300,13 +319,15 @@ class _RowState:
     """The running rows' state of a block solve, one attribute per quantity:
     an array with one leading entry per running row, or a tuple of such
     arrays. A problem `M` (m, n) and `y` (m,) shared by every row is kept
-    whole; with one problem per row, M (b, m, n) and y (b, m) are rows too."""
+    whole; with one problem per row, M (b, m, n) and y (b, m) are rows too.
+    The solvers set an entry to None after its last read in an iteration,
+    so that stops do not gather it."""
 
     # `_Block`'s row indices and results, then the solvers' entries. Slots, not a dict: the
     # solver loops read and write them dozens of times per iteration.
     __slots__ = ("rows", "eps_m", "z_hat", "M", "y", "problem", "z", "z_new", "pat", "pat_new",
-                 "r", "r_new", "mgz", "w", "w_input", "lam", "lam_rho", "rhs", "a", "a_pinv",
-                 "region", "stale", "f", "f_new", "g", "g_new", "gg", "jac", "t_trial")
+                 "r", "r_new", "mgz", "w", "lam", "lam_rho", "a", "a_pinv", "region", "c",
+                 "stale", "f", "f_new", "g", "g_new", "jac", "t_trial")
 
     def __init__(self):
         for name in self.__slots__:
@@ -455,12 +476,15 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     (T, R, k) block and give a list with each problem's result, or its
     SolverDiverged, equal to solving it alone (see `_problem` and `_Block`).
 
-    On nets above a size cut (`_REGION_MODEL_MIN_MACS`; the paper's net
-    passes it, small nets do not), each row also keeps its region's affine
-    maps (`region_maps`), and a new iterate whose pre-activations P z + p
-    keep the row's pattern is evaluated as M G(z) = A z + c; rows that leave
-    their region go through the layers. That differs from layered
-    evaluation in the last bits, but does not depend on the caching.
+    On an identity net, G(z) = J z + g at every z, so each row also keeps
+    c = M g and every iterate is evaluated as M G(z) = A z + c, with no
+    layer loop. On other nets above a size cut (`_REGION_MODEL_MIN_MACS`;
+    the paper's net passes it, small nets do not), each row also keeps its
+    region's affine maps (`region_maps`), and a new iterate whose
+    pre-activations P z + p keep the row's pattern is evaluated as
+    M G(z) = A z + c; rows that leave their region go through the layers.
+    Either differs from layered evaluation in the last bits, but does not
+    depend on the caching.
 
     `probe`, when given, is called once per iteration with a dict of the
     internal quantities for diagnostics: iteration, A, rhs, z_prev, z_new,
@@ -483,37 +507,45 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     eps_m = _l1(y - s.mgz)
     blk.record(eps_m, _norm(s.mgz - s.w - y), eps_m, s.z)
 
-    # Each row's cached A, its pseudo-inverse and on the region model
-    # `region` = (P, p, c = M g), () below the cut, are rebuilt where `stale`.
-    # Below the cut the loop calls no helper per iteration: calling
-    # `_evaluate` there made 10-row solves on [5,30,60] nets 3-9% slower.
+    # Each row's cached A and its pseudo-inverse, and on the region model
+    # `region` = (P, p) and c = M g (() and None below the cut), are rebuilt
+    # where `stale`. An identity net's c = M G(0) holds at every z, so below
+    # the cut it is set once. Below the cut the loop calls no helper per
+    # iteration: calling `_evaluate` there made 10-row solves on [5,30,60]
+    # nets 3-9% slower.
     rows = len(s.z)
+    linear = net.activation.kind == IDENTITY
     s.a, s.a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
     s.region = ()
     if _uses_region_model(net, m):
-        s.region = (np.empty((rows, s.pat.shape[1], net.k)), np.empty(s.pat.shape),
-                    np.empty((rows, m)))
+        s.region = (np.empty((rows, s.pat.shape[1], net.k)), np.empty(s.pat.shape))
+        s.c = np.empty((rows, m))
+    elif linear:
+        s.c = np.broadcast_to(matvec(M, _offset(net)), (rows, m))
     s.stale = np.ones(rows, dtype=bool)
     for q in range(1, cfg.max_iters + 1):
         if s.stale.any():
             if s.region:
-                _rebuild(net, s.M, s.pat, s.stale, s.a, s.region)
+                _rebuild(net, s.M, s.pat, s.stale, s.a, s.region, s.c)
             else:
                 s.a[s.stale] = _rows(s.M, s.stale) @ jacobian(net, s.z[s.stale])
             s.a_pinv[s.stale] = pseudo_inverse(s.a[s.stale])
         s.lam_rho = s.lam / rho
-        s.rhs = s.w + s.y - s.lam_rho - (s.mgz - matvec(s.a, s.z))
-        s.z_new = matvec(s.a_pinv, s.rhs)
+        rhs = s.w + s.y - s.lam_rho - (s.c if linear else s.mgz - matvec(s.a, s.z))
+        s.z_new = matvec(s.a_pinv, rhs)
         blk.diverge(s.z_new, error=f"non-finite z iterate at iteration {q}")
         if not s.rows.size:
             break
-        if s.region:
-            s.mgz, s.pat_new = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region)
+        if linear:
+            s.mgz, s.pat_new = matvec(s.a, s.z_new) + s.c, s.pat
+        elif s.region:
+            s.mgz, s.pat_new = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region, s.c)
         else:
             x_new, s.pat_new = forward_pattern(net, s.z_new)
             s.mgz = matvec(s.M, x_new)
-        s.w_input = s.mgz - s.y + s.lam_rho
-        s.w = soft_threshold(s.w_input, 1.0 / rho)
+        w_input = s.mgz - s.y + s.lam_rho
+        s.lam_rho = None   # read for the last time
+        s.w = soft_threshold(w_input, 1.0 / rho)
         s.r = s.mgz - s.w - s.y
         s.lam = s.lam + rho * s.r
         # The multiplier was finite, so the new one is finite only where w is too.
@@ -526,8 +558,8 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         blk.record(eps_m, primal, eps_m, s.z_new)
         if probe is not None:
             # A copy: the cached A is overwritten in place when the pattern changes.
-            probe({"iteration": q, "A": s.a[0].copy(), "rhs": s.rhs[0], "z_prev": s.z[0],
-                   "z_new": s.z_new[0], "w_input": s.w_input[0], "w": s.w[0],
+            probe({"iteration": q, "A": s.a[0].copy(), "rhs": rhs[0], "z_prev": s.z[0],
+                   "z_new": s.z_new[0], "w_input": w_input[0], "w": s.w[0],
                    "lam": s.lam[0], "rho": rho})
 
         s.stale = _stale(s.pat, s.pat_new)
@@ -548,15 +580,16 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     lockstep on the (B, k) block of starting points z.
 
     `value(z) -> (f, r, pres)` returns the objectives, residuals
-    M G(z) - y and `layer_preactivations` of a block of rows; `grad(z, r,
-    jac) -> g` their (sub)gradients given their Jacobians. Each row keeps
-    its own objective, gradient, trial step and Jacobian, the last
-    recomputed only when an accepted step changes the row's activation
-    pattern. Each row stops on its own: at max_iters, on ||step|| <
-    tol_step, when _MAX_BACKTRACKS trial steps find no decrease (a
-    nonsmooth stall), or, dropped as diverged, on a non-finite iterate.
-    Accepted steps never increase a row's objective. The row whose last
-    iterate has the smallest eps_m is returned.
+    M G(z) - y and `layer_preactivations` (None on an identity net, which
+    has no pattern) of a block of rows; `grad(z, r, jac) -> g` their
+    (sub)gradients given their Jacobians. Each row keeps its own objective,
+    gradient, trial step and Jacobian, the last recomputed only when an
+    accepted step changes the row's activation pattern. Each row stops on
+    its own: at max_iters, on ||step|| < tol_step, when _MAX_BACKTRACKS
+    trial steps find no decrease (a nonsmooth stall), or, dropped as
+    diverged, on a non-finite iterate. Accepted steps never increase a
+    row's objective. The row whose last iterate has the smallest eps_m is
+    returned.
 
     For T problems, z is their (T, R, k) block and `problem` holds M and y
     with one problem per row, compacted with the other per-row state;
@@ -575,12 +608,14 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     s.problem = problem
     m = y.shape[-1]
     s.f, s.r, pres = value(s.z, *s.problem)
-    s.pat = activation_pattern(net, pres)
+    s.pat = np.zeros((len(s.z), 0), dtype=bool) if pres is None else \
+        activation_pattern(net, pres)
     blk.diverge(s.f, error="non-finite objective at the initial point")
     s.jac = jacobian(net, s.z)
     s.g = grad(s.z, s.r, s.jac, *s.problem)
     blk.diverge(s.g, error="non-finite gradient at the initial point")
     blk.record(s.f, None, _l1(s.r), s.z)
+    s.r = None   # read for the last time
     blk.stop(~s.g.any(axis=-1), converged=True)
 
     macs = _row_macs(net, m)
@@ -588,9 +623,10 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     for q in range(1, cfg.max_iters + 1):
         if not s.rows.size:
             break
-        s.gg = _dot(s.g, s.g)
-        if not s.gg.all():
-            blk.stop(s.gg == 0.0, converged=True)
+        gg = _dot(s.g, s.g)
+        if not gg.all():
+            blk.stop(gg == 0.0, converged=True)
+            gg = gg[gg != 0.0]
         s.z_new, s.f_new, s.r_new = np.empty_like(s.z), np.empty_like(s.f), np.empty((len(s.z), m))
         s.pat_new = np.empty_like(s.pat)
         todo, t, tried = np.arange(len(s.z)), s.t_trial, 0
@@ -605,7 +641,7 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             np.multiply.accumulate(steps, axis=1, out=steps)
             z_try = (s.z[sel, None] - steps[..., None] * s.g[sel, None]).reshape(-1, s.z.shape[1])
             f_try, r_try, pres = value(z_try, *(a[sel] for a in s.problem))
-            armijo = s.f[sel, None] - cfg.armijo_c * steps * s.gg[sel, None]
+            armijo = s.f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
             ok = (np.isfinite(f_try) & (f_try <= armijo.ravel())).reshape(steps.shape)
             hit = ok.any(axis=1)
             pick = np.arange(0, ok.size, width) + ok.argmax(axis=1)
@@ -634,10 +670,21 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
 
         s.z, s.f, s.g, s.pat = s.z_new, s.f_new, s.g_new, s.pat_new
         blk.record(s.f, None, _l1(s.r_new), s.z)
+        s.r_new = None   # read for the last time
         done = np.sqrt(ss) < cfg.tol_step
         if done.any():
             blk.stop(done, converged=True)
     return blk.result(net)
+
+
+def _signal(net: GeneratorNetwork, z, linear: bool):
+    """What a descent solve measures at each row of z, and the pre-activations
+    it came from: G(z) and its `layer_preactivations`, or, on a problem
+    composed with an identity net (`linear`, see `_problem`), z and None."""
+    if linear:
+        return z, None
+    pres = layer_preactivations(net, z)
+    return net.activation.apply(pres[-1]), pres
 
 
 def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
@@ -646,22 +693,26 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
 
     The descent direction comes from the subgradient
     2 ||r||_1 J^T M^T sign(r) with sign(0) = 0; the objective is
-    non-differentiable only on a measure-zero set. z0 may be a (B, k) block
-    of starting points, or T problems' (T, R, k) block, as in `_descend`.
+    non-differentiable only on a measure-zero set. On an identity net the
+    solve runs on the composed A z - b (see `_problem`), with gradient
+    2 ||r||_1 A^T sign(r). z0 may be a (B, k) block of starting points, or
+    T problems' (T, R, k) block, as in `_descend`.
     """
     _check_method(cfg, GD_L1SQ)
-    M, y, z = _problem(net, M, y, cfg, z0)
+    linear = net.activation.kind == IDENTITY
+    M, y, z = _problem(net, M, y, cfg, z0, compose=linear)
 
     def value(z, M=M, y=y):
-        pres = layer_preactivations(net, z)
-        r = _residual(M, net.activation.apply(pres[-1]), y)
+        x, pres = _signal(net, z, linear)
+        r = _residual(M, x, y)
         l1 = _l1(r)
         return l1 * l1, r, pres
 
     def grad(z, r, jac, M=M, *_):
-        jt = np.swapaxes(jac, -1, -2)
-        return (2.0 * _l1(r))[:, None] * matvec(jt, matvec(np.swapaxes(M, -1, -2),
-                                                           np.sign(r)))
+        g = matvec(np.swapaxes(M, -1, -2), np.sign(r))
+        if not linear:
+            g = matvec(np.swapaxes(jac, -1, -2), g)
+        return (2.0 * _l1(r))[:, None] * g
 
     return _descend(net, y, cfg, z, value, grad, *((M, y) if M.ndim == 3 else ()))
 
@@ -669,22 +720,27 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
 def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
                   z0=None) -> RecoveryResult | list:
     """Gradient descent on ||M G(z) - y||_2^2, plus lambda_reg ||z||_2^2 for
-    the regularized method. z0 may be a (B, k) block of starting points, or
-    T problems' (T, R, k) block, as in `_descend`."""
+    the regularized method. On an identity net the solve runs on the
+    composed A z - b (see `_problem`). z0 may be a (B, k) block of starting
+    points, or T problems' (T, R, k) block, as in `_descend`."""
     _check_method(cfg, GD_L2SQ, GD_L2SQ_REG)
-    M, y, z = _problem(net, M, y, cfg, z0)
+    linear = net.activation.kind == IDENTITY
+    M, y, z = _problem(net, M, y, cfg, z0, compose=linear)
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
     def value(z, M=M, y=y):
-        pres = layer_preactivations(net, z)
-        r = _residual(M, net.activation.apply(pres[-1]), y)
+        x, pres = _signal(net, z, linear)
+        r = _residual(M, x, y)
         f = _dot(r, r)
         if lam > 0:
             f = f + lam * _dot(z, z)
         return f, r, pres
 
     def grad(z, r, jac, M=M, *_):
-        g = 2.0 * matvec(np.swapaxes(jac, -1, -2), matvec(np.swapaxes(M, -1, -2), r))
+        g = matvec(np.swapaxes(M, -1, -2), r)
+        if not linear:
+            g = matvec(np.swapaxes(jac, -1, -2), g)
+        g = 2.0 * g
         if lam > 0:
             g = g + 2.0 * lam * z
         return g
@@ -727,13 +783,15 @@ def multi_restart(net: GeneratorNetwork, M, y, cfg: SolverConfig,
 
 def solve_trials(net: GeneratorNetwork, problems, cfgs) -> list:
     """`multi_restart` for each trial: problem (M, y) of `problems` with its
-    config of `cfgs`, all trials' restarts run in lockstep as one block of
+    config of `cfgs`, the trials' restarts run in lockstep as blocks of
     trials x restarts rows.
 
     The configs may differ only in seed, and the problems must share their
     shape. Entry i is what multi_restart gives for trial i, byte for byte,
     or, where all of trial i's restarts diverge, its SolverDiverged in place
-    of the result; the other trials are unaffected.
+    of the result; the other trials are unaffected. The trials run in
+    consecutive chunks of at least one trial, each within
+    `_TRIAL_BLOCK_DOUBLES` of per-row problem copies.
     """
     cfgs = list(cfgs)
     if not cfgs or len(problems) != len(cfgs):
@@ -741,13 +799,17 @@ def solve_trials(net: GeneratorNetwork, problems, cfgs) -> list:
                          f"{len(cfgs)} configs for {len(problems)} problems")
     if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
         raise ValueError("the trials' solver configs may differ only in seed")
-    try:
-        M = np.stack([np.asarray(mat, dtype=np.float64) for mat, _ in problems])
-        y = np.stack([np.asarray(vec, dtype=np.float64) for _, vec in problems])
-    except ValueError:
-        raise ValueError("the trials' problems must share one shape") from None
-    z0 = np.stack([_starts(net, c) for c in cfgs])
-    return _SOLVERS[cfgs[0].method](net, M, y, cfgs[0], z0=z0)
+    if len({(np.shape(mat), np.shape(vec)) for mat, vec in problems}) != 1:
+        raise ValueError("the trials' problems must share one shape")
+    solver, z0 = _SOLVERS[cfgs[0].method], np.stack([_starts(net, c) for c in cfgs])
+    step = max(1, _TRIAL_BLOCK_DOUBLES // (z0.shape[1] * max(1, np.size(problems[0][0]))))
+    out = []
+    for chunk in range(0, len(problems), step):
+        part = problems[chunk:chunk + step]
+        M = np.stack([np.asarray(mat, dtype=np.float64) for mat, _ in part])
+        y = np.stack([np.asarray(vec, dtype=np.float64) for _, vec in part])
+        out += solver(net, M, y, cfgs[0], z0=z0[chunk:chunk + step])
+    return out
 
 
 def write_trace(trace: list[TraceRecord], path) -> None:
