@@ -176,14 +176,11 @@ def forward_pattern(net: GeneratorNetwork, z) -> tuple[np.ndarray, np.ndarray]:
     gives (B, n) outputs and (B, n_1 + ... + n_d) patterns.
     """
     pres = layer_preactivations(net, z)
-    return net.activation.apply(pres[-1]), activation_pattern(net, pres)
-
-
-def activation_pattern(net: GeneratorNetwork, pres) -> np.ndarray:
-    """The `forward_pattern` pattern from a `layer_preactivations` list."""
     if net.activation.kind == IDENTITY:
-        return np.zeros(pres[-1].shape[:-1] + (0,), dtype=bool)
-    return np.concatenate(pres, axis=-1) >= 0.0
+        pattern = np.zeros(pres[-1].shape[:-1] + (0,), dtype=bool)
+    else:
+        pattern = np.concatenate(pres, axis=-1) >= 0.0
+    return net.activation.apply(pres[-1]), pattern
 
 
 def jacobian(net: GeneratorNetwork, z) -> np.ndarray:
@@ -194,14 +191,22 @@ def jacobian(net: GeneratorNetwork, z) -> np.ndarray:
     A (B, k) block of codes gives a (B, n, k) stack of Jacobians.
     """
     a = as_rows(z, net.k, "z")
-    if a.ndim == 2 and len(a) == 1:
-        # Same bytes either way, but a single row through 2-D products ran
-        # [20,500,500,784] solves 1-12% faster than a (1, n, k) stack.
-        return jacobian(net, a[0])[None]
     jac = np.eye(net.k)
     for w, pre in zip(net.weights, layer_preactivations(net, a)):
         jac = net.activation.deriv(pre)[..., None] * (w @ jac)
     return jac
+
+
+def pullback(net: GeneratorNetwork, pres, v) -> np.ndarray:
+    """J(z)^T v for each row, by one backward pass through the layers.
+
+    `pres` are z's `layer_preactivations` and v has one length-n row per
+    row of z; the kink takes the ">= 0" branch, as in `jacobian`. Given no
+    pre-activations, v comes back unchanged.
+    """
+    for w, pre in zip(reversed(net.weights), reversed(pres)):
+        v = matvec(w.T, net.activation.deriv(pre) * v)
+    return v
 
 
 class RegionMaps(NamedTuple):

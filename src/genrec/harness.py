@@ -18,7 +18,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -70,8 +70,16 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        _known_keys(d, "", [f.name for f in fields(cls)])
+        net = d.get("net", {})
+        _known_keys(net, "net.", ["dims", "activation", "seed"])
+        _known_keys(net.get("activation", {}), "net.activation.", ["kind", "h"])
+        _known_keys(d.get("measurement", {}), "measurement.",
+                    ["m", "matrix_kind", "outlier_count", "outlier_range", "outlier_signed",
+                     "noise_target"])
         if "sweep" not in d:
             raise ValueError("experiment config is missing the required key 'sweep'")
+        _known_keys(d["sweep"], "sweep.", ["axis", "values"])
         solvers = tuple(SolverConfig.from_dict(s) for s in d.get("solvers", []))
         checks = d.get("checks")
         return cls(
@@ -94,6 +102,18 @@ class ExperimentSpec:
             "output_dir": self.output_dir,
             "checks": list(self.checks) if self.checks is not None else None,
         }
+
+
+def _known_keys(d: dict, prefix: str, known) -> None:
+    """Reject the keys of config section `d` not in `known`, naming them
+    with the section's `prefix`: a misspelt key would silently fall back to
+    its default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'the config'} must be a JSON object, "
+                         f"got {d!r}")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config keys {[prefix + key for key in unknown]}")
 
 
 def _integer(value, key: str) -> int:

@@ -18,9 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, substreams
-from .generator import (IDENTITY, GeneratorNetwork, activation_pattern, compose_linear,
-                        forward, forward_pattern, jacobian, layer_preactivations,
-                        region_maps)
+from .generator import (IDENTITY, GeneratorNetwork, compose_linear, forward, forward_pattern,
+                        jacobian, layer_preactivations, pullback, region_maps)
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -110,7 +109,6 @@ class RecoveryResult:
     z_hat: np.ndarray
     x_hat: np.ndarray
     eps_m: float
-    eps_r: float | None = None
     iters_used: int = 0
     trace: list[TraceRecord] = field(default_factory=list)
     restart_index: int = 0
@@ -252,8 +250,8 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Rows whose activation pattern differs from the one their cached
-    Jacobian (and M J and its pseudo-inverse) was built for. J depends on z
-    only through the pattern, so the other rows reuse theirs unchanged."""
+    M J and its pseudo-inverse were built for. J depends on z only through
+    the pattern, so the other rows reuse theirs unchanged."""
     if not pattern.shape[1]:   # identity nets have no pattern
         return np.zeros(len(pattern), dtype=bool)
     return (cached != pattern).any(axis=-1)
@@ -327,7 +325,7 @@ class _RowState:
     # solver loops read and write them dozens of times per iteration.
     __slots__ = ("rows", "eps_m", "z_hat", "M", "y", "problem", "z", "z_new", "pat", "pat_new",
                  "r", "r_new", "mgz", "w", "lam", "lam_rho", "a", "a_pinv", "region", "c",
-                 "stale", "f", "f_new", "g", "g_new", "jac", "t_trial")
+                 "stale", "f", "f_new", "g", "g_new", "pres", "pres_new", "t_trial")
 
     def __init__(self):
         for name in self.__slots__:
@@ -580,11 +578,11 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     lockstep on the (B, k) block of starting points z.
 
     `value(z) -> (f, r, pres)` returns the objectives, residuals
-    M G(z) - y and `layer_preactivations` (None on an identity net, which
-    has no pattern) of a block of rows; `grad(z, r, jac) -> g` their
-    (sub)gradients given their Jacobians. Each row keeps its own objective,
-    gradient, trial step and Jacobian, the last recomputed only when an
-    accepted step changes the row's activation pattern. Each row stops on
+    M G(z) - y and `layer_preactivations` (none on a composed identity
+    problem) of a block of rows; `grad(z, r, pres) -> g` their
+    (sub)gradients, by one backward pass from those pre-activations. Each
+    row keeps its own objective, gradient, trial step and the
+    pre-activations of its accepted point, no Jacobian. Each row stops on
     its own: at max_iters, on ||step|| < tol_step, when _MAX_BACKTRACKS
     trial steps find no decrease (a nonsmooth stall), or, dropped as
     diverged, on a non-finite iterate. Accepted steps never increase a
@@ -594,7 +592,7 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     For T problems, z is their (T, R, k) block and `problem` holds M and y
     with one problem per row, compacted with the other per-row state;
     `value(z, *problem)` (z an equal run of trial points per problem row)
-    and `grad(z, r, jac, *problem)` take those of the rows they evaluate,
+    and `grad(z, r, pres, *problem)` take those of the rows they evaluate,
     and the result is a list, one entry per problem (see `_Block.result`).
 
     Backtracking runs in passes. Each pass evaluates, as one block, the next
@@ -608,11 +606,9 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     s.problem = problem
     m = y.shape[-1]
     s.f, s.r, pres = value(s.z, *s.problem)
-    s.pat = np.zeros((len(s.z), 0), dtype=bool) if pres is None else \
-        activation_pattern(net, pres)
+    s.pres = tuple(pres)   # one array per layer, compacted with the rows
     blk.diverge(s.f, error="non-finite objective at the initial point")
-    s.jac = jacobian(net, s.z)
-    s.g = grad(s.z, s.r, s.jac, *s.problem)
+    s.g = grad(s.z, s.r, s.pres, *s.problem)
     blk.diverge(s.g, error="non-finite gradient at the initial point")
     blk.record(s.f, None, _l1(s.r), s.z)
     s.r = None   # read for the last time
@@ -628,7 +624,7 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             blk.stop(gg == 0.0, converged=True)
             gg = gg[gg != 0.0]
         s.z_new, s.f_new, s.r_new = np.empty_like(s.z), np.empty_like(s.f), np.empty((len(s.z), m))
-        s.pat_new = np.empty_like(s.pat)
+        s.pres_new = tuple(np.empty_like(p) for p in s.pres)
         todo, t, tried = np.arange(len(s.z)), s.t_trial, 0
         while todo.size and tried < _MAX_BACKTRACKS:
             sel = todo if todo.size < len(s.z) else slice(None)   # views on the first pass
@@ -651,15 +647,12 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
                 pick, done, todo, t = (pick[hit], todo[hit], todo[~hit],
                                        steps[~hit, -1] * cfg.armijo_shrink)
             s.z_new[done], s.f_new[done], s.r_new[done] = z_try[pick], f_try[pick], r_try[pick]
-            if s.pat.shape[1]:   # identity nets have no pattern
-                s.pat_new[done] = activation_pattern(net, pres)[pick]
+            for p_new, p in zip(s.pres_new, pres):
+                p_new[done] = p[pick]
             tried += width
         if todo.size:   # rows whose trial steps all failed: stalled
             blk.stop(np.isin(np.arange(len(s.z)), todo))
-        stale = _stale(s.pat, s.pat_new)
-        if stale.any():
-            s.jac[stale] = jacobian(net, s.z_new[stale])
-        s.g_new = grad(s.z_new, s.r_new, s.jac, *s.problem)
+        s.g_new = grad(s.z_new, s.r_new, s.pres_new, *s.problem)
         blk.diverge(s.z_new, s.g_new, error=f"non-finite iterate at iteration {q}")
 
         step = s.z_new - s.z
@@ -668,7 +661,8 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
         s.t_trial = np.where(bb, np.minimum(np.maximum(ss / np.where(bb, sy, 1.0), 1e-20), 1e20),
                              cfg.step_init)
 
-        s.z, s.f, s.g, s.pat = s.z_new, s.f_new, s.g_new, s.pat_new
+        s.z, s.f, s.g, s.pres = s.z_new, s.f_new, s.g_new, s.pres_new
+        s.pres_new = None   # the stop below need not gather it again
         blk.record(s.f, None, _l1(s.r_new), s.z)
         s.r_new = None   # read for the last time
         done = np.sqrt(ss) < cfg.tol_step
@@ -680,9 +674,9 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
 def _signal(net: GeneratorNetwork, z, linear: bool):
     """What a descent solve measures at each row of z, and the pre-activations
     it came from: G(z) and its `layer_preactivations`, or, on a problem
-    composed with an identity net (`linear`, see `_problem`), z and None."""
+    composed with an identity net (`linear`, see `_problem`), z and none."""
     if linear:
-        return z, None
+        return z, ()
     pres = layer_preactivations(net, z)
     return net.activation.apply(pres[-1]), pres
 
@@ -708,10 +702,8 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
         l1 = _l1(r)
         return l1 * l1, r, pres
 
-    def grad(z, r, jac, M=M, *_):
-        g = matvec(np.swapaxes(M, -1, -2), np.sign(r))
-        if not linear:
-            g = matvec(np.swapaxes(jac, -1, -2), g)
+    def grad(z, r, pres, M=M, *_):
+        g = pullback(net, pres, matvec(np.swapaxes(M, -1, -2), np.sign(r)))
         return (2.0 * _l1(r))[:, None] * g
 
     return _descend(net, y, cfg, z, value, grad, *((M, y) if M.ndim == 3 else ()))
@@ -736,11 +728,8 @@ def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
             f = f + lam * _dot(z, z)
         return f, r, pres
 
-    def grad(z, r, jac, M=M, *_):
-        g = matvec(np.swapaxes(M, -1, -2), r)
-        if not linear:
-            g = matvec(np.swapaxes(jac, -1, -2), g)
-        g = 2.0 * g
+    def grad(z, r, pres, M=M, *_):
+        g = 2.0 * pullback(net, pres, matvec(np.swapaxes(M, -1, -2), r))
         if lam > 0:
             g = g + 2.0 * lam * z
         return g

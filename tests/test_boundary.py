@@ -325,3 +325,28 @@ class TestNoiseTarget:
         path.write_text(json.dumps(_tiny_sweep(**{"measurement.noise_target": math.inf})))
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert "noise_target" in one_error_line(capsys)
+
+
+class TestUnknownConfigKeys:
+    """A misspelt key would otherwise be ignored and its default used."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"trials_per_pt": 3}, "trials_per_pt"),
+        ({"net": {"dims": [2, 6], "seeed": 1}}, "net.seeed"),
+        ({"net": {"dims": [2, 6], "activation": {"kind": "leaky_relu", "hh": 0.2}}},
+         "net.activation.hh"),
+        ({"measurement.outlier_cout": 3}, "measurement.outlier_cout"),
+        ({"sweep": {"axis": "measurements", "values": [8], "value": [9]}}, "sweep.value")])
+    def test_from_dict_names_the_key(self, overrides, key):
+        with pytest.raises(ValueError, match=rf"unknown config keys \['{key}'\]"):
+            ExperimentSpec.from_dict(_tiny_sweep(**overrides))
+
+    def test_non_object_section_rejected(self):
+        with pytest.raises(ValueError, match="net must be a JSON object, got 5"):
+            ExperimentSpec.from_dict(_tiny_sweep(net=5))
+
+    def test_cli_sweep_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep(**{"measurement.outlier_cout": 3})))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "measurement.outlier_cout" in one_error_line(capsys)

@@ -7,7 +7,7 @@ import pytest
 from genrec.generator import (Activation, GeneratorNetwork, compose_linear,
                               forward, forward_pattern, jacobian,
                               layer_preactivations, net_from_dict, net_to_dict,
-                              random_gaussian_net, region_maps, zero_bias)
+                              pullback, random_gaussian_net, region_maps, zero_bias)
 
 from conftest import kink_free, make_linear_net
 
@@ -185,6 +185,42 @@ class TestActivationPattern:
             assert np.array_equal(forward_pattern(net, z)[1], forward_pattern(net, other)[1])
             assert forward(net, z).tobytes() != forward(net, other).tobytes()
             assert jacobian(net, z).tobytes() == jacobian(net, other).tobytes()
+
+
+class TestPullback:
+    """One backward pass gives J(z)^T v without forming J."""
+
+    # Fixed before measuring: the two products sum the same terms in
+    # different orders.
+    TOL = 1e-12
+
+    @staticmethod
+    def _assert_matches(net, block, v):
+        got = pullback(net, layer_preactivations(net, block), v)
+        want = np.einsum("bnk,bn->bk", jacobian(net, block), v)
+        assert got.shape == want.shape == (len(block), net.k)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= TestPullback.TOL * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    @pytest.mark.parametrize("dims", [[5, 30, 60], [4, 12, 10, 16], [3, 7]])
+    def test_equals_jacobian_transpose(self, rng, kind, h, dims):
+        net = random_gaussian_net(dims, Activation(kind, h), 11)
+        block = rng.standard_normal((6, dims[0]))
+        self._assert_matches(net, block, rng.standard_normal((6, dims[-1])))
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    def test_kink_takes_nonnegative_branch(self, rng, kind, h):
+        # Every pre-activation of a zero-bias net is exactly 0 at z = 0.
+        net = zero_bias(random_gaussian_net([4, 12, 10, 16], Activation(kind, h), 9))
+        block = np.zeros((3, 4))
+        assert all(not p.any() for p in layer_preactivations(net, block))
+        self._assert_matches(net, block, rng.standard_normal((3, 16)))
+
+    def test_no_layers_returns_v(self, rng):
+        net = random_gaussian_net([3, 7], Activation("relu"), 2)
+        v = rng.standard_normal((2, 7))
+        assert pullback(net, (), v) is v
 
 
 class TestRegionMaps:

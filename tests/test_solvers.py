@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from genrec import solvers
-from genrec.generator import (Activation, forward, random_gaussian_net,
+from genrec.generator import (Activation, forward, jacobian, random_gaussian_net,
                               compose_linear, zero_bias)
 from genrec.measurement import MeasurementModel, build_instance
 from genrec.solvers import (SolverConfig, SolverDiverged, admm_l1,
@@ -327,8 +327,9 @@ class TestMultiRestart:
 
 
 class TestPatternCache:
-    """Each row's Jacobian, M J and pseudo-inverse are reused while its
-    activation pattern is unchanged; results must not depend on that."""
+    """admm_l1 reuses each row's M J and pseudo-inverse while its activation
+    pattern is unchanged; results must not depend on that. The descent
+    solvers keep no Jacobian."""
 
     @staticmethod
     def _counting(monkeypatch, name):
@@ -343,7 +344,7 @@ class TestPatternCache:
 
     @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
                                          ("leaky_relu", 0.2)])
-    @pytest.mark.parametrize("method", ["admm-l1", "gd-l1sq", "gd-l2sq", "gd-l2sq-reg"])
+    @pytest.mark.parametrize("method", ["admm-l1"])
     def test_results_equal_recomputing_every_row(self, monkeypatch, kind, h, method):
         net = random_gaussian_net([4, 16, 24], Activation(kind, h), 37)
         inst = build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2, seed=38),
@@ -368,8 +369,54 @@ class TestPatternCache:
         res = multi_restart(net, inst.M, inst.y,
                             SolverConfig(method=method, max_iters=1000, restarts=10, seed=41))
         assert res.iters_used > 1
-        assert jac_rows == [10]
+        assert jac_rows == ([10] if method == "admm-l1" else [])
         assert pinv_rows == ([10] if method == "admm-l1" else [])
+
+
+class TestBackwardPassGradient:
+    """The descent solvers get each gradient by one backward pass through
+    the layers, with no Jacobian."""
+
+    KINDS = [("identity", 1.0), ("relu", 1.0), ("leaky_relu", 0.2)]
+
+    @staticmethod
+    def _instance(kind, h):
+        net = random_gaussian_net([4, 16, 24], Activation(kind, h), 37)
+        return net, build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2, seed=38),
+                                   seed=39)
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    @pytest.mark.parametrize("method", ["gd-l1sq", "gd-l2sq", "gd-l2sq-reg"])
+    def test_descent_calls_no_jacobian(self, monkeypatch, kind, h, method):
+        net, inst = self._instance(kind, h)
+        calls = []
+        monkeypatch.setattr(solvers, "jacobian", lambda *args: calls.append(args))
+        res = multi_restart(net, inst.M, inst.y,
+                            SolverConfig(method=method, max_iters=50, restarts=3, seed=40,
+                                         lambda_reg=0.5 if method == "gd-l2sq-reg" else 0.0))
+        assert res.iters_used > 1 and calls == []
+
+    @pytest.mark.parametrize("kind, h", KINDS)
+    def test_initial_gradient_is_the_l1sq_subgradient(self, monkeypatch, rng, kind, h):
+        net, inst = self._instance(kind, h)
+        seen = {}
+        original = solvers._descend
+
+        def descend(net_, y, cfg, z, value, grad, *problem):
+            seen.update(z=z.copy(), value=value, grad=grad)
+            return original(net_, y, cfg, z, value, grad, *problem)
+        monkeypatch.setattr(solvers, "_descend", descend)
+        gd_squared_l1(net, inst.M, inst.y, SolverConfig(method="gd-l1sq", max_iters=2),
+                      z0=rng.standard_normal((4, net.k)))
+        z = seen["z"]
+        _, r, pres = seen["value"](z)
+        got = seen["grad"](z, r, pres)
+        # 2 |r|_1 J^T M^T sign(r), with r = M G(z) - y from the layers.
+        r = forward(net, z) @ inst.M.T - inst.y
+        want = np.stack([2.0 * np.abs(ri).sum() * (jac.T @ (inst.M.T @ np.sign(ri)))
+                         for ri, jac in zip(r, jacobian(net, z))])
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 class TestRegionModel:
