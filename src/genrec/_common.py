@@ -43,6 +43,20 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, (b, n) blocks.
+    Each goes through a stacked 1 x 1 product, so it rounds as the 1-D
+    `a @ b` (and its square root as np.linalg.norm) does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def default_zero_tol(y) -> float:
+    """Threshold for l0 counting of residuals against measurement scale."""
+    y = np.asarray(y, dtype=np.float64)
+    peak = float(np.max(np.abs(y))) if y.size else 0.0
+    return 1e-8 * (1.0 + peak)
+
+
 def as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 2:

@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._common import as_matrix, as_rows, as_vector, matvec, substreams
+from ._common import as_matrix, as_rows, as_vector, matvec, row_dot, substreams
+from ._common import default_zero_tol  # noqa: F401  kept importable from here
 from .generator import (IDENTITY, GeneratorNetwork, compose_linear, forward, forward_pattern,
                         jacobian, layer_preactivations, pullback, region_maps)
 
@@ -122,11 +123,14 @@ class Metrics(NamedTuple):
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:
-    """Element-wise shrink toward zero by tau (proximal operator of |.|_1)."""
+    """Element-wise shrink toward zero by tau (proximal operator of |.|_1):
+    v - clip(v, -tau, tau), that is 0 where |v| <= tau and v - sign(v) tau
+    elsewhere."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
     v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    # Two ufuncs, not np.clip, whose Python wrapper costs more than the work here.
+    return v - np.minimum(np.maximum(v, -tau), tau)
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -140,13 +144,6 @@ def pseudo_inverse(a) -> np.ndarray:
         raise ValueError("pseudo_inverse requires finite entries")
     rcond = np.finfo(np.float64).eps * max(a.shape[-2:])
     return np.linalg.pinv(a, rcond=rcond)
-
-
-def default_zero_tol(y) -> float:
-    """Threshold for l0 counting of residuals against measurement scale."""
-    y = np.asarray(y, dtype=np.float64)
-    peak = float(np.max(np.abs(y))) if y.size else 0.0
-    return 1e-8 * (1.0 + peak)
 
 
 def metrics(net: GeneratorNetwork, M, y, z_hat, x0=None) -> Metrics:
@@ -230,18 +227,13 @@ def _residual(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (matvec(M[:, None], x) - y[:, None]).reshape(-1, y.shape[-1])
 
 
-# Row-wise reductions over a (b, m) block. Dots go through stacked 1 x 1
-# products, so each row rounds as the 1-D `a @ b` and np.linalg.norm do.
+# Row-wise reductions over a (b, m) block (see `row_dot` for the rounding).
 def _l1(r: np.ndarray) -> np.ndarray:
     return np.abs(r).sum(axis=-1)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(a, a))
+    return np.sqrt(row_dot(a, a))
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -272,6 +264,11 @@ _REGION_MODEL_MIN_MACS = 200_000
 # of three README sweeps ([4,20,60] leaky net, 5 restarts, 1 worker, one BLAS
 # thread): 19.3 s at one trial per pass, 10.1-10.7 s at 50k-200k, 11.5 s at
 # 500k and 14.0 s at 1M. The paper-scale net (809k per row) keeps one.
+# Composed identity problems (see `_problem`) keep the layered count, though
+# their A z - b costs only m k: on [5,30,60] with m = 40, 4,350 per trial
+# against 200. Charged m k, a pass of 10 rows widens to all 100 trial steps,
+# most of them past the accepted one, and gd-l1sq took 2.8x the time per
+# recover-linear solve (10.3 -> 28.7 ms, one BLAS thread).
 _LINE_SEARCH_PASS_MACS = 200_000
 
 # solve_trials solves its trials in consecutive chunks whose per-row problem
@@ -324,7 +321,7 @@ class _RowState:
     # `_Block`'s row indices and results, then the solvers' entries. Slots, not a dict: the
     # solver loops read and write them dozens of times per iteration.
     __slots__ = ("rows", "eps_m", "z_hat", "M", "y", "problem", "z", "z_new", "pat", "pat_new",
-                 "r", "r_new", "mgz", "w", "lam", "lam_rho", "a", "a_pinv", "region", "c",
+                 "r", "r_new", "mgz", "d", "w", "u", "a", "a_pinv", "region", "b", "c",
                  "stale", "f", "f_new", "g", "g_new", "pres", "pres_new", "t_trial")
 
     def __init__(self):
@@ -455,15 +452,19 @@ class _Block:
 
 def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
             probe: Callable[[dict], None] | None = None) -> RecoveryResult | list:
-    """Linearized ADMM for min_z ||M G(z) - y||_1.
+    """Linearized ADMM for min_z ||M G(z) - y||_1, in scaled form.
 
-    Each iteration linearizes G at the current iterate, solves the resulting
-    least-squares z-subproblem through the pseudo-inverse, soft-thresholds
-    the split variable w, and takes a dual ascent step on the multiplier.
-    Initialization: w0 = M G(z0) - y (feasible, so the first primal residual
-    is zero by construction) and multiplier 0. Because the trajectory need
-    not be monotone on a nonconvex G, the iterate with the smallest l1
-    measurement misfit is returned, not the last one.
+    The split variable is w = M G(z) - y and the multiplier is kept scaled,
+    u = lambda / rho (Boyd et al. 2011, section 3.1.1). Each iteration
+    linearizes G at the current iterate, M G(z') ~ A z' + c, and solves the
+    least-squares z-subproblem A z' = w - u + (y - c) through the
+    pseudo-inverse. With d = M G(z') - y and v = d + u, it then sets
+    w = soft_threshold(v, 1/rho) and u = v - w: the primal residual d - w is
+    the change in u. Initialization: w0 = M G(z0) - y (feasible, so the
+    first primal residual is zero by construction) and multiplier 0.
+    Because the trajectory need not be monotone on a nonconvex G, the
+    iterate with the smallest l1 measurement misfit ||d||_1 is returned, not
+    the last one.
 
     z0 may be a (B, k) block of starting points: the rows run in lockstep,
     each with its own w, multiplier, best iterate and stopping test, and the
@@ -475,18 +476,19 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     SolverDiverged, equal to solving it alone (see `_problem` and `_Block`).
 
     On an identity net, G(z) = J z + g at every z, so each row also keeps
-    c = M g and every iterate is evaluated as M G(z) = A z + c, with no
-    layer loop. On other nets above a size cut (`_REGION_MODEL_MIN_MACS`;
-    the paper's net passes it, small nets do not), each row also keeps its
-    region's affine maps (`region_maps`), and a new iterate whose
-    pre-activations P z + p keep the row's pattern is evaluated as
-    M G(z) = A z + c; rows that leave their region go through the layers.
-    Either differs from layered evaluation in the last bits, but does not
-    depend on the caching.
+    c = M g and b = y - c, and every iterate is evaluated as
+    d = A z - b, with no layer loop. On other nets above a size cut
+    (`_REGION_MODEL_MIN_MACS`; the paper's net passes it, small nets do
+    not), each row also keeps its region's affine maps (`region_maps`), and
+    a new iterate whose pre-activations P z + p keep the row's pattern is
+    evaluated as M G(z) = A z + c; rows that leave their region go through
+    the layers. Either differs from layered evaluation in the last bits, but
+    does not depend on the caching.
 
     `probe`, when given, is called once per iteration with a dict of the
     internal quantities for diagnostics: iteration, A, rhs, z_prev, z_new,
-    w_input, w, lam and rho. It needs a single starting point.
+    w_input (v), w, lam (the unscaled multiplier rho u) and rho. It needs a
+    single starting point.
     """
     _check_method(cfg, ADMM_L1)
     M, y, z = _problem(net, M, y, cfg, z0)
@@ -501,16 +503,16 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     x, s.pat = forward_pattern(net, s.z)
     s.mgz = matvec(M, x)
     s.w = s.mgz - y
-    s.lam = np.zeros_like(s.w)
+    s.u = np.zeros_like(s.w)
     eps_m = _l1(y - s.mgz)
     blk.record(eps_m, _norm(s.mgz - s.w - y), eps_m, s.z)
 
     # Each row's cached A and its pseudo-inverse, and on the region model
     # `region` = (P, p) and c = M g (() and None below the cut), are rebuilt
     # where `stale`. An identity net's c = M G(0) holds at every z, so below
-    # the cut it is set once. Below the cut the loop calls no helper per
-    # iteration: calling `_evaluate` there made 10-row solves on [5,30,60]
-    # nets 3-9% slower.
+    # the cut it is set once; its b = y - c is refreshed at rebuilds, and it
+    # keeps no M G(z). Below the cut the loop calls no helper per iteration:
+    # calling `_evaluate` there made 10-row solves on [5,30,60] nets 3-9% slower.
     rows = len(s.z)
     linear = net.activation.kind == IDENTITY
     s.a, s.a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
@@ -520,6 +522,8 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         s.c = np.empty((rows, m))
     elif linear:
         s.c = np.broadcast_to(matvec(M, _offset(net)), (rows, m))
+    if linear:
+        s.mgz = None
     s.stale = np.ones(rows, dtype=bool)
     for q in range(1, cfg.max_iters + 1):
         if s.stale.any():
@@ -528,37 +532,40 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
             else:
                 s.a[s.stale] = _rows(s.M, s.stale) @ jacobian(net, s.z[s.stale])
             s.a_pinv[s.stale] = pseudo_inverse(s.a[s.stale])
-        s.lam_rho = s.lam / rho
-        rhs = s.w + s.y - s.lam_rho - (s.c if linear else s.mgz - matvec(s.a, s.z))
+            if linear:
+                s.b = s.y - s.c
+        # w - u + (y - c), with c = M G(z) - A z at the point of linearization.
+        rhs = s.w - s.u + (s.b if linear else s.y - (s.mgz - matvec(s.a, s.z)))
         s.z_new = matvec(s.a_pinv, rhs)
         blk.diverge(s.z_new, error=f"non-finite z iterate at iteration {q}")
         if not s.rows.size:
             break
         if linear:
-            s.mgz, s.pat_new = matvec(s.a, s.z_new) + s.c, s.pat
-        elif s.region:
-            s.mgz, s.pat_new = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region, s.c)
+            s.d, s.pat_new = matvec(s.a, s.z_new) - s.b, s.pat
         else:
-            x_new, s.pat_new = forward_pattern(net, s.z_new)
-            s.mgz = matvec(s.M, x_new)
-        w_input = s.mgz - s.y + s.lam_rho
-        s.lam_rho = None   # read for the last time
+            if s.region:
+                s.mgz, s.pat_new = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region, s.c)
+            else:
+                x_new, s.pat_new = forward_pattern(net, s.z_new)
+                s.mgz = matvec(s.M, x_new)
+            s.d = s.mgz - s.y
+        w_input = s.d + s.u
         s.w = soft_threshold(w_input, 1.0 / rho)
-        s.r = s.mgz - s.w - s.y
-        s.lam = s.lam + rho * s.r
-        # The multiplier was finite, so the new one is finite only where w is too.
-        blk.diverge(s.lam, error=f"non-finite w/lambda at iteration {q}")
+        u = w_input - s.w
+        s.r, s.u = u - s.u, u
+        # The old u was finite, so the new one is finite only where d and w are too.
+        blk.diverge(s.u, error=f"non-finite w/lambda at iteration {q}")
         if not s.rows.size:
             break
 
-        primal = _norm(s.r)
-        eps_m = _l1(s.y - s.mgz)
+        primal, eps_m = _norm(s.r), _l1(s.d)
+        s.r = s.d = None   # read for the last time
         blk.record(eps_m, primal, eps_m, s.z_new)
         if probe is not None:
             # A copy: the cached A is overwritten in place when the pattern changes.
             probe({"iteration": q, "A": s.a[0].copy(), "rhs": rhs[0], "z_prev": s.z[0],
                    "z_new": s.z_new[0], "w_input": w_input[0], "w": s.w[0],
-                   "lam": s.lam[0], "rho": rho})
+                   "lam": rho * s.u[0], "rho": rho})
 
         s.stale = _stale(s.pat, s.pat_new)
         z_prev, s.z, s.pat = s.z, s.z_new, s.pat_new
@@ -619,7 +626,7 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     for q in range(1, cfg.max_iters + 1):
         if not s.rows.size:
             break
-        gg = _dot(s.g, s.g)
+        gg = row_dot(s.g, s.g)
         if not gg.all():
             blk.stop(gg == 0.0, converged=True)
             gg = gg[gg != 0.0]
@@ -638,7 +645,8 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             z_try = (s.z[sel, None] - steps[..., None] * s.g[sel, None]).reshape(-1, s.z.shape[1])
             f_try, r_try, pres = value(z_try, *(a[sel] for a in s.problem))
             armijo = s.f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
-            ok = (np.isfinite(f_try) & (f_try <= armijo.ravel())).reshape(steps.shape)
+            # The bound is at most f, which is finite, so a NaN or inf f_try fails it.
+            ok = (f_try <= armijo.ravel()).reshape(steps.shape)
             hit = ok.any(axis=1)
             pick = np.arange(0, ok.size, width) + ok.argmax(axis=1)
             if hit.all():   # every row has its step: no gathers
@@ -656,7 +664,7 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
         blk.diverge(s.z_new, s.g_new, error=f"non-finite iterate at iteration {q}")
 
         step = s.z_new - s.z
-        ss, sy = _dot(step, step), _dot(step, s.g_new - s.g)
+        ss, sy = row_dot(step, step), row_dot(step, s.g_new - s.g)
         bb = (sy > 0) & np.isfinite(sy)
         s.t_trial = np.where(bb, np.minimum(np.maximum(ss / np.where(bb, sy, 1.0), 1e-20), 1e20),
                              cfg.step_init)
@@ -723,9 +731,9 @@ def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
     def value(z, M=M, y=y):
         x, pres = _signal(net, z, linear)
         r = _residual(M, x, y)
-        f = _dot(r, r)
+        f = row_dot(r, r)
         if lam > 0:
-            f = f + lam * _dot(z, z)
+            f = f + lam * row_dot(z, z)
         return f, r, pres
 
     def grad(z, r, pres, M=M, *_):

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import as_matrix, as_rows, as_vector, matvec, row_chunks, substreams
+from ._common import (as_matrix, as_rows, as_vector, default_zero_tol, matvec, row_chunks,
+                      row_dot, substreams)
 from ._common import substream  # noqa: F401  a module attribute the tests patch
 from .generator import GeneratorNetwork, LEAKY_RELU, forward, layer_preactivations
-from .solvers import _dot, default_zero_tol
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -382,7 +382,7 @@ def norm_bounds_check(H, trials: int, h: float, rho_grid=None,
         # them runs on the block.
         rngs = substreams(seed, [(t,) for t in range(rows.start, rows.stop)])
         g = np.stack([rng.standard_normal(nm) for rng in rngs])
-        norm = np.sqrt(_dot(g, g))   # rounds as np.linalg.norm of each row
+        norm = np.sqrt(row_dot(g, g))   # rounds as np.linalg.norm of each row
         for i in np.flatnonzero(norm == 0.0):
             # A zero draw: go on drawing from the trial's substream until the
             # norm is nonzero, as a single trial does.

@@ -159,6 +159,32 @@ def _prox_abs_oracle(v, rho):
     return min(cands, key=lambda w: abs(w) + rho / 2 * (v - w) ** 2)
 
 
+class TestDualUpdate:
+    """ADMM's multiplier step: after w = prox(v) with v = M G(z) - y + lam/rho,
+    the new lam/rho is v - w, which is v clipped to [-1/rho, 1/rho]."""
+
+    @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("leaky_relu", 0.2)])
+    def test_scaled_multiplier_is_the_clipped_prox_input(self, kind, h):
+        net = random_gaussian_net([4, 16, 24], Activation(kind, h), 61)
+        inst = build_instance(net, MeasurementModel(m=18, n=24, outlier_count=2, seed=62),
+                              seed=63)
+        states = []
+        cfg = SolverConfig(method="admm-l1", rho=0.7, max_iters=60)
+        res = admm_l1(net, inst.M, inst.y, cfg, z0=np.random.default_rng(64).standard_normal(4),
+                      probe=states.append)
+        assert len(states) == len(res.trace) - 1 >= 20
+        clipped = inside = 0
+        for state in states:
+            v, w, rho = state["w_input"], state["w"], state["rho"]
+            u = state["lam"] / rho
+            tol = 1e-12 * np.maximum(1.0, np.abs(v))
+            assert np.all(np.abs(u - np.clip(v, -1.0 / rho, 1.0 / rho)) <= tol)
+            assert np.all(np.abs(u - (v - w)) <= tol)
+            clipped += int(np.sum(np.abs(v) > 1.0 / rho))
+            inside += int(np.sum(np.abs(v) < 1.0 / rho))
+        assert clipped and inside   # both branches of the clip were taken
+
+
 class TestGdSquaredL1:
     def test_zero_residual_returns_immediately(self, rng):
         net = random_gaussian_net([3, 8, 10], Activation("relu"), 2)
