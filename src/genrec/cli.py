@@ -33,7 +33,14 @@ def _parse_dims(text: str) -> list[int]:
                          "expected e.g. 20,500,500,784") from None
 
 
+def _seed_flag(value, flag: str) -> None:
+    """Reject a negative seed flag by name (numpy's error names no flag)."""
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be a non-negative integer, got {value}")
+
+
 def _cmd_gen_net(args) -> int:
+    _seed_flag(args.seed, "--seed")
     act = Activation(_ACTIVATION_FLAGS[args.activation], args.h)
     net = random_gaussian_net(_parse_dims(args.dims), act, args.seed)
     save_net(net, args.out)
@@ -43,6 +50,8 @@ def _cmd_gen_net(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
+    _seed_flag(args.seed, "--seed")
+    _seed_flag(args.model_seed, "--model-seed")
     net = load_net(args.net)
     try:
         lo, hi = (float(v) for v in args.outlier_range.split(","))

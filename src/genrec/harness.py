@@ -89,7 +89,7 @@ class ExperimentSpec:
             sweep=d["sweep"],
             solvers=solvers,
             trials_per_point=_integer(d.get("trials_per_point", 1), "trials_per_point"),
-            seed=_integer(d.get("seed", 0), "seed"),
+            seed=_seed(d.get("seed", 0), "seed"),
             output_dir=d.get("output_dir"),
             checks=tuple(checks) if checks is not None else None,
         )
@@ -126,12 +126,20 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _seed(value, key: str) -> int:
+    """`value` as an RNG seed: an int, as `_integer` takes it, and >= 0."""
+    seed = _integer(value, key)
+    if seed < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_net(net_spec: dict) -> GeneratorNetwork:
     if "dims" not in net_spec:
         raise ValueError("net config is missing the required key 'net.dims'")
     act = Activation.from_dict(net_spec.get("activation", {"kind": "identity"}))
     dims = [_integer(w, "each of net.dims") for w in net_spec["dims"]]
-    return random_gaussian_net(dims, act, _integer(net_spec.get("seed", 0), "net.seed"))
+    return random_gaussian_net(dims, act, _seed(net_spec.get("seed", 0), "net.seed"))
 
 
 def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,

@@ -19,8 +19,8 @@ import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, row_dot, substreams
 from ._common import default_zero_tol  # noqa: F401  kept importable from here
-from .generator import (IDENTITY, GeneratorNetwork, compose_linear, forward, forward_pattern,
-                        jacobian, layer_preactivations, pullback, region_maps)
+from .generator import (IDENTITY, LEAKY_RELU, GeneratorNetwork, compose_linear, forward,
+                        forward_pattern, jacobian, layer_preactivations, pullback, region_maps)
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -286,28 +286,145 @@ def _uses_region_model(net: GeneratorNetwork, m: int) -> bool:
     return _row_macs(net, m) >= _REGION_MODEL_MIN_MACS
 
 
-def _rebuild(net: GeneratorNetwork, M, pat, stale, a, region, c) -> None:
-    """Refill the `stale` rows of admm_l1's region model in place from their
-    patterns: A = M J, `region` = (P, p) and c = M g."""
-    maps = region_maps(net, pat[stale])
-    M = _rows(M, stale)
-    a[stale] = M @ maps.J
-    region[0][stale], region[1][stale], c[stale] = maps.P, maps.p, matvec(M, maps.g)
+# admm_l1 moves a stale row's region model (P, p, A, c) to its new pattern by
+# the flipped units' rank-r terms (`_update`) when that costs at most this
+# fraction of a rebuild's multiply-adds (`_update_macs`), and after
+# `_UPDATE_REFRESH` updates in a row rebuilds it from `region_maps`, to bound
+# drift. 0 turns updates off. CPU time on [20,500,500,784] with m = 200 (one
+# BLAS thread, medians of 15): a rebuild with its pseudo-inverse took
+# 3.4-3.9 ms; an update with its z-operator, for flips in layer 1, 0.9 ms at
+# one flip (0.04 of a rebuild's multiply-adds), 1.6 ms at 8 (0.29), 1.9 ms at
+# 16 (0.58) and 2.8 ms at 32 (1.16); flips in later layers cost less. An
+# update is memory-bound (it streams W_(i+1) and M once), so its time grows
+# slower than its multiply-adds; at 0.5 it takes about half a rebuild's time.
+_UPDATE_MAX_COST = 0.5
+
+# Over 300 random chains of updates on small ReLU and leaky nets, the
+# updated maps stayed within 2e-16 of fresh `region_maps` after one update,
+# 5e-16 within 64 and 1e-15 within 200, relative to a bound on the maps'
+# entries (tests/test_region_updates.py). The paper instances re-linearise
+# 7-14 times in 1000 iterations, so the refresh is a safeguard there.
+_UPDATE_REFRESH = 64
+
+# An updated row's z-operator comes from a Cholesky factorization of A^T A
+# only while |L|_F |L^-1|_F, an upper bound on cond(A) = cond(L), stays
+# within this bound (see `_z_operator`); otherwise the row is rebuilt and
+# pseudo-inverted. The normal equations lose cond(A)^2 eps: on (200, 20)
+# matrices the operator's largest gap to `pseudo_inverse` was 2e-15 relative
+# at cond(A) = 3, 8e-15 at 10 and 6e-13 at 100 (20 draws each). The paper
+# instances read cond(A) 2.4-2.8, |L|_F |L^-1|_F 23-24 and a gap of 2e-15.
+_Z_OPERATOR_MAX_COND = 100.0
 
 
-def _evaluate(net: GeneratorNetwork, M, z, pat, a, region, c) -> tuple[np.ndarray, np.ndarray]:
-    """M G(z) and the activation pattern of each row of z, through the
-    region model `region` = (P, p) and c: a row whose pre-activations P z + p
-    keep the pattern its maps were built for stays in that region, where
+def _update_macs(net: GeneratorNetwork, m: int) -> tuple[np.ndarray, int]:
+    """Multiply-adds of `_update` per flipped unit of each layer, and of a
+    rebuild (`region_maps` and M J). A flip in layer i is carried through
+    each later layer j by one mat-vec with the map after it (W_(j+1), or M
+    after the last layer), and adds a rank-1 term to layer j's P and p and
+    to A and c."""
+    k, widths = net.k, net.dims[1:]
+    sizes = [rows * width for width, rows in zip(widths, widths[1:] + (m,))]
+    per_flip = [sum(sizes[i + 1:]) + (k + 1) * (sum(widths[i + 1:]) + m)
+                for i in range(len(widths))]
+    return np.array(per_flip), k * sum(sizes)
+
+
+def _update(net: GeneratorNetwork, M, big_p, small_p, a, c, old, new) -> None:
+    """Move one row's region model, P (w, k), p (w,), A (m, k) and c (m,),
+    in place from the region of pattern `old` to that of `new`, layer by
+    layer.
+
+    Where layer i's pre-activation maps P_i, p_i changed by C B and C beta
+    (carried from earlier layers), its post-activation maps D_i P_i and
+    D_i p_i change by D_i^old C (B, beta) and, for each flipped unit u with
+    slope change ds_u, by e_u ds_u (P_i[u], p_i[u]) at the updated P_i. The
+    map after the layer, W_(i+1) or M, turns both into the next change: one
+    mat-vec per carried column, and a gathered column W_(i+1)[:, u] per
+    flip."""
+    low = net.activation.h if net.activation.kind == LEAKY_RELU else 0.0
+    cols, coef, offs = np.empty((net.dims[1], 0)), np.empty((0, net.k)), np.empty(0)
+    start = 0
+    for i, width in enumerate(net.dims[1:]):
+        span = slice(start, start + width)
+        start += width
+        nxt = net.weights[i + 1] if i + 1 < net.depth else M
+        units = np.flatnonzero(old[span] != new[span])
+        if cols.shape[1]:
+            big_p[span] += cols @ coef
+            small_p[span] += cols @ offs
+            cols = np.concatenate([nxt @ (np.where(old[span], 1.0, low)[:, None] * cols),
+                                   nxt[:, units]], axis=1)
+        else:
+            cols = nxt[:, units]
+        ds = np.where(new[span][units], 1.0 - low, low - 1.0)
+        coef = np.concatenate([coef, ds[:, None] * big_p[span][units]])
+        offs = np.concatenate([offs, ds * small_p[span][units]])
+    a += cols @ coef
+    c += cols @ offs
+
+
+def _z_operator(a: np.ndarray) -> np.ndarray | None:
+    """(A^T A)^-1 A^T for one (m, k) A, equal to its pseudo-inverse when A
+    has full column rank, from a Cholesky factorization A^T A = L L^T; None
+    where the factorization fails or cond(A) may exceed
+    `_Z_OPERATOR_MAX_COND`. cond(A) = cond(L) <= |L|_F |L^-1|_F."""
+    try:
+        chol = np.linalg.cholesky(a.T @ a)
+        inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.norm(chol) * np.linalg.norm(inv) <= _Z_OPERATOR_MAX_COND:
+        return None
+    return (inv.T @ inv) @ a.T
+
+
+def _relinearize(net: GeneratorNetwork, M, pat, stale, a, a_pinv, region, c) -> None:
+    """Bring the `stale` rows of admm_l1's region model, `region` =
+    (P, p, the pattern the maps were built for, updates since the last
+    rebuild), A and c, and their z-operators to the patterns `pat`: by
+    `_update` and `_z_operator` where that is cheap enough, not yet due for
+    a refresh and well conditioned, else rebuilt from `region_maps` and
+    `pseudo_inverse`. Each row's choice and arithmetic are its own."""
+    built, updates = region[2], region[3]
+    rebuild = stale.copy()
+    todo = np.flatnonzero(stale & (updates < _UPDATE_REFRESH))
+    if todo.size and pat.shape[1]:   # identity nets have no pattern: nothing to update
+        per_flip, full = _update_macs(net, a.shape[1])
+        starts = np.cumsum((0,) + net.dims[1:-1])
+        flips = np.add.reduceat(built[todo] != pat[todo], starts, axis=1)
+        for row, cost in zip(todo, flips @ per_flip):
+            if cost > _UPDATE_MAX_COST * full:
+                continue
+            _update(net, _rows(M, row), region[0][row], region[1][row], a[row], c[row],
+                    built[row], pat[row])
+            op = _z_operator(a[row])
+            if op is not None:
+                a_pinv[row], built[row], rebuild[row] = op, pat[row], False
+                updates[row] += 1
+    if rebuild.any():
+        maps = region_maps(net, pat[rebuild])
+        M = _rows(M, rebuild)
+        a[rebuild] = M @ maps.J
+        region[0][rebuild], region[1][rebuild], c[rebuild] = maps.P, maps.p, matvec(M, maps.g)
+        a_pinv[rebuild] = pseudo_inverse(a[rebuild])
+        built[rebuild], updates[rebuild] = pat[rebuild], 0
+
+
+def _evaluate(net: GeneratorNetwork, M, z, pat, a, region,
+              c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M G(z), the activation pattern of each row of z and the rows whose
+    pattern differs from `pat`, through the region model `region` =
+    (P, p, ...) and c: a row whose pre-activations P z + p keep the pattern
+    its maps were built for, `pat`, stays in that region, where
     M G(z) = A z + c. Rows that left it go through the layers."""
-    big_p, small_p = region
+    big_p, small_p = region[:2]
     pat_new = matvec(big_p, z) + small_p >= 0.0
     left = (pat_new != pat).any(axis=-1)
     mgz = matvec(a, z) + c
     if left.any():
         x, pat_new[left] = forward_pattern(net, z[left])
         mgz[left] = matvec(_rows(M, left), x)
-    return mgz, pat_new
+    return mgz, pat_new, left
 
 
 class _RowState:
@@ -470,8 +587,8 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     each with its own w, multiplier, best iterate and stopping test, and the
     best row is returned with its index as restart_index. A row that goes
     non-finite is dropped; SolverDiverged is raised only if every row does.
-    Each row keeps A = M J(z) and its pseudo-inverse until its activation
-    pattern changes. T problems, M (T, m, n) and y (T, m), take z0 as a
+    Each row keeps A = M J(z) and its z-operator (the pseudo-inverse) until
+    its activation pattern changes. T problems, M (T, m, n) and y (T, m), take z0 as a
     (T, R, k) block and give a list with each problem's result, or its
     SolverDiverged, equal to solving it alone (see `_problem` and `_Block`).
 
@@ -479,11 +596,15 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     c = M g and b = y - c, and every iterate is evaluated as
     d = A z - b, with no layer loop. On other nets above a size cut
     (`_REGION_MODEL_MIN_MACS`; the paper's net passes it, small nets do
-    not), each row also keeps its region's affine maps (`region_maps`), and
-    a new iterate whose pre-activations P z + p keep the row's pattern is
-    evaluated as M G(z) = A z + c; rows that leave their region go through
-    the layers. Either differs from layered evaluation in the last bits, but
-    does not depend on the caching.
+    not), each row also keeps its region's affine maps (`region_maps`), c
+    and b = y - c, and a new iterate whose pre-activations P z + p keep the
+    row's pattern is evaluated as M G(z) = A z + c; rows that leave their
+    region go through the layers. A row whose pattern changes in a few
+    units moves its maps, A and c by the flipped units' rank-r terms and
+    takes its z-operator from a Cholesky factorization of A^T A (see
+    `_relinearize`). Either path differs from layered evaluation in the last
+    bits; above the cut, results also depend on each row's own history of
+    updates and rebuilds, at the level of rounding.
 
     `probe`, when given, is called once per iteration with a dict of the
     internal quantities for diagnostics: iteration, A, rhs, z_prev, z_new,
@@ -507,18 +628,22 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     eps_m = _l1(y - s.mgz)
     blk.record(eps_m, _norm(s.mgz - s.w - y), eps_m, s.z)
 
-    # Each row's cached A and its pseudo-inverse, and on the region model
-    # `region` = (P, p) and c = M g (() and None below the cut), are rebuilt
-    # where `stale`. An identity net's c = M G(0) holds at every z, so below
-    # the cut it is set once; its b = y - c is refreshed at rebuilds, and it
-    # keeps no M G(z). Below the cut the loop calls no helper per iteration:
-    # calling `_evaluate` there made 10-row solves on [5,30,60] nets 3-9% slower.
+    # Each row's cached A and its z-operator, and on the region model
+    # `region` (see `_relinearize`) and c = M g (() and None below the cut),
+    # are brought to the row's pattern where `stale`. An identity net's
+    # c = M G(0) holds at every z, so below the cut it is set once. Identity
+    # nets and the region model keep b = y - c, refreshed at re-linearisations;
+    # identity nets keep no M G(z). Below the cut the loop calls no helper per
+    # iteration: calling `_evaluate` there made 10-row solves on [5,30,60]
+    # nets 3-9% slower.
     rows = len(s.z)
     linear = net.activation.kind == IDENTITY
     s.a, s.a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
     s.region = ()
     if _uses_region_model(net, m):
-        s.region = (np.empty((rows, s.pat.shape[1], net.k)), np.empty(s.pat.shape))
+        # A row's first build is a rebuild: it counts as due for a refresh.
+        s.region = (np.empty((rows, s.pat.shape[1], net.k)), np.empty(s.pat.shape),
+                    np.empty_like(s.pat), np.full(rows, _UPDATE_REFRESH))
         s.c = np.empty((rows, m))
     elif linear:
         s.c = np.broadcast_to(matvec(M, _offset(net)), (rows, m))
@@ -528,14 +653,15 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     for q in range(1, cfg.max_iters + 1):
         if s.stale.any():
             if s.region:
-                _rebuild(net, s.M, s.pat, s.stale, s.a, s.region, s.c)
+                _relinearize(net, s.M, s.pat, s.stale, s.a, s.a_pinv, s.region, s.c)
             else:
                 s.a[s.stale] = _rows(s.M, s.stale) @ jacobian(net, s.z[s.stale])
-            s.a_pinv[s.stale] = pseudo_inverse(s.a[s.stale])
-            if linear:
+                s.a_pinv[s.stale] = pseudo_inverse(s.a[s.stale])
+            if linear or s.region:
                 s.b = s.y - s.c
-        # w - u + (y - c), with c = M G(z) - A z at the point of linearization.
-        rhs = s.w - s.u + (s.b if linear else s.y - (s.mgz - matvec(s.a, s.z)))
+        # w - u + (y - c): b = y - c where kept, else c = M G(z) - A z at the
+        # point of linearization.
+        rhs = s.w - s.u + (s.b if s.b is not None else s.y - (s.mgz - matvec(s.a, s.z)))
         s.z_new = matvec(s.a_pinv, rhs)
         blk.diverge(s.z_new, error=f"non-finite z iterate at iteration {q}")
         if not s.rows.size:
@@ -544,7 +670,8 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
             s.d, s.pat_new = matvec(s.a, s.z_new) - s.b, s.pat
         else:
             if s.region:
-                s.mgz, s.pat_new = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region, s.c)
+                s.mgz, s.pat_new, s.stale = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region,
+                                                      s.c)
             else:
                 x_new, s.pat_new = forward_pattern(net, s.z_new)
                 s.mgz = matvec(s.M, x_new)
@@ -567,7 +694,8 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
                    "z_new": s.z_new[0], "w_input": w_input[0], "w": s.w[0],
                    "lam": rho * s.u[0], "rho": rho})
 
-        s.stale = _stale(s.pat, s.pat_new)
+        if linear or not s.region:
+            s.stale = _stale(s.pat, s.pat_new)
         z_prev, s.z, s.pat = s.z, s.z_new, s.pat_new
         done = primal < tol_primal
         if done.any():   # the step matters only where the primal residual is small

@@ -350,3 +350,58 @@ class TestUnknownConfigKeys:
         path.write_text(json.dumps(_tiny_sweep(**{"measurement.outlier_cout": 3})))
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert "measurement.outlier_cout" in one_error_line(capsys)
+
+
+class TestNegativeSeeds:
+    """numpy and SeedSequence reject a negative seed without naming it; each
+    seed field is rejected by name where it enters."""
+
+    VERIFY = {"name": "v", "sweep": {"axis": "rho_grid", "values": [0.1]}, "checks": []}
+
+    def test_sweep_config_seed(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            ExperimentSpec.from_dict(_tiny_sweep(seed=-1))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep(seed=-1)))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "seed must be a non-negative integer, got -1" in one_error_line(capsys)
+
+    def test_verify_config_seed(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            ExperimentSpec.from_dict(dict(self.VERIFY, seed=-1))
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(dict(self.VERIFY, seed=-1)))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert "seed must be a non-negative integer, got -1" in one_error_line(capsys)
+
+    def test_net_seed(self, tmp_path, capsys):
+        with pytest.raises(ValueError,
+                           match="^net.seed must be a non-negative integer, got -1$"):
+            run_sweep(ExperimentSpec.from_dict(_tiny_sweep(**{"net.seed": -1})))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep(**{"net.seed": -1})))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "net.seed must be a non-negative integer, got -1" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_seed_flag_of_sweep_and_verify(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_tiny_sweep() if command == "sweep" else self.VERIFY))
+        assert cli.main([command, "--config", str(path), "--seed=-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in one_error_line(capsys)
+
+    def test_seed_flag_of_gen_net(self, tmp_path, capsys):
+        net_path = tmp_path / "net.json"
+        assert cli.main(["gen-net", "--dims", "3,8", "--seed=-1", "--out", str(net_path)]) == 2
+        assert "--seed must be a non-negative integer, got -1" in one_error_line(capsys)
+        assert not net_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--model-seed"])
+    def test_seed_flags_of_gen_instance(self, tmp_path, capsys, flag):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6", f"{flag}=-1",
+                         "--out", str(inst_path)]) == 2
+        assert f"{flag} must be a non-negative integer, got -1" in one_error_line(capsys)
+        assert not inst_path.exists()

@@ -504,17 +504,23 @@ class TestRegionModel:
     @pytest.mark.parametrize("kind, h", [("identity", 1.0), ("relu", 1.0),
                                          ("leaky_relu", 0.2)])
     def test_results_equal_rebuilding_every_row(self, monkeypatch, model, kind, h):
+        # Rank-r updates of the maps part from full rebuilds by rounding alone.
         net, inst = self._instance(kind, h)
         cfg = SolverConfig(method="admm-l1", max_iters=150, restarts=7, seed=40)
         maps_rows = self._counting_maps(monkeypatch)
-        cached = multi_restart(net, inst.M, inst.y, cfg)
-        rows_cached = sum(maps_rows)
-        monkeypatch.setattr(solvers, "_stale",
-                            lambda _, pattern: np.ones(len(pattern), dtype=bool))
+        updated = multi_restart(net, inst.M, inst.y, cfg)
+        rows_updated = sum(maps_rows)
+        monkeypatch.setattr(solvers, "_UPDATE_MAX_COST", 0.0)   # every re-linearisation rebuilds
         maps_rows.clear()
-        plain = multi_restart(net, inst.M, inst.y, cfg)
-        assert (cached.restart_index, _fields(cached)) == (plain.restart_index, _fields(plain))
-        assert 0 < rows_cached < sum(maps_rows)
+        rebuilt = multi_restart(net, inst.M, inst.y, cfg)
+        assert (updated.iters_used, updated.restart_index, updated.converged) == \
+            (rebuilt.iters_used, rebuilt.restart_index, rebuilt.converged)
+        scale = np.linalg.norm(rebuilt.z_hat)
+        assert np.linalg.norm(updated.z_hat - rebuilt.z_hat) <= self.TOL * scale
+        assert abs(updated.eps_m - rebuilt.eps_m) <= self.TOL * rebuilt.eps_m
+        # Identity nets never leave their region: nothing to update.
+        assert 0 < rows_updated <= sum(maps_rows)
+        assert (rows_updated < sum(maps_rows)) == (kind != "identity")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_row_is_dropped(self, model):
