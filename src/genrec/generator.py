@@ -40,7 +40,10 @@ class Activation:
             return x
         if self.kind == RELU:
             return np.maximum(x, 0.0)
-        return np.where(x >= 0.0, x, self.h * x)
+        # Equal, byte for byte, to np.where(x >= 0.0, x, h * x) for h in
+        # (0, 1]: h*x <= x when x >= 0, h*x >= x when x < 0, and a quiet NaN
+        # (the only kind arithmetic makes) comes out unchanged either way.
+        return np.maximum(x, self.h * x)
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
         # The kink at exactly 0 takes the value of the ">= 0" branch.

@@ -134,6 +134,14 @@ def _seed(value, key: str) -> int:
     return seed
 
 
+def _positive(value, key: str) -> int:
+    """`value` as an int, as `_integer` takes it, and >= 1."""
+    n = _integer(value, key)
+    if n < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {n}")
+    return n
+
+
 def build_net(net_spec: dict) -> GeneratorNetwork:
     if "dims" not in net_spec:
         raise ValueError("net config is missing the required key 'net.dims'")
@@ -322,18 +330,53 @@ def default_checks() -> list[dict]:
     ]
 
 
+# The Gram eigenvalues stand in for the SVD only when the smallest clears this
+# fraction of the largest: sigma_min/sigma_max >= 1e-4 then, so the check's
+# 1e-10 threshold is passed by a wide margin and every pass/fail decision is
+# the one the SVD would make. Below it, the SVD decides.
+_GRAM_MIN_RATIO = 1e-8
+
+
+def _extreme_singular_values(a: np.ndarray) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of the 2-D array `a`.
+
+    Taken as the square roots of the extreme eigenvalues of the smaller Gram
+    matrix G (`a a^T` or `a^T a`) when they are certified: with
+    delta = (p + q) * eps * trace(G) for a p x q `a`, which bounds the
+    eigenvalue error of the formed G, the smallest must be at least
+    max(_GRAM_MIN_RATIO * largest, 100 * delta). Otherwise, near rank
+    deficiency where squaring loses sigma_min, from the SVD of `a`.
+    """
+    p, q = a.shape
+    g = a @ a.T if p <= q else a.T @ a
+    lam = np.linalg.eigvalsh(g)
+    delta = (p + q) * np.finfo(np.float64).eps * float(np.trace(g))
+    if lam[0] >= max(_GRAM_MIN_RATIO * lam[-1], 100.0 * delta):
+        return math.sqrt(lam[-1]), math.sqrt(lam[0])
+    sv = np.linalg.svd(a, compute_uv=False)
+    return float(sv[0]), float(sv[-1])
+
+
 def _check_gaussian_full_rank(params, seed):
-    trials = int(params.get("trials", 20))
-    shapes = [tuple(s) for s in params.get("shapes", [[12, 7]])]
+    trials = _positive(params.get("trials", 20), "gaussian_full_rank.trials")
+    shapes = params.get("shapes", [[12, 7]])
+    if not isinstance(shapes, (list, tuple)) or not shapes:
+        raise ValueError(f"gaussian_full_rank.shapes must be a nonempty list, got {shapes!r}")
+    for si, shape in enumerate(shapes):
+        if not isinstance(shape, (list, tuple)) or len(shape) != 2:
+            raise ValueError(f"gaussian_full_rank.shapes[{si}] must be a [rows, columns] "
+                             f"pair, got {shape!r}")
+    shapes = [tuple(_positive(d, f"gaussian_full_rank.shapes[{si}][{j}]")
+                    for j, d in enumerate(shape)) for si, shape in enumerate(shapes)]
     failures = 0
     total = 0
     min_margin = math.inf
-    # Kept as a loop: the time is in LAPACK, one SVD per matrix either way.
+    # One draw at a time: stacking a shape's draws for batched calls measured
+    # no faster, and most of the time is in BLAS and LAPACK.
     for si, shape in enumerate(shapes):
         for rng in substreams(seed, [(si, t) for t in range(trials)]):
-            a = rng.standard_normal(shape)
-            sv = np.linalg.svd(a, compute_uv=False)
-            margin = float(sv[-1]) - 1e-10 * float(sv[0])
+            s_max, s_min = _extreme_singular_values(rng.standard_normal(shape))
+            margin = s_min - 1e-10 * s_max
             min_margin = min(min_margin, margin)
             total += 1
             if margin <= 0:
@@ -529,6 +572,20 @@ _CHECK_RUNNERS = {
 }
 
 
+# Each check's parameters, besides "name" and "required"; run_verify rejects
+# any other key, which the check would otherwise ignore for its default.
+_CHECK_PARAMS = {
+    "gaussian_full_rank": ("shapes", "trials"),
+    "every_r_rows_full_rank": ("matrix", "n", "k", "mid", "outliers", "r"),
+    "leaky_beta_range": ("trials",),
+    "leaky_layer_lift": ("dims", "h", "pairs"),
+    "k_majority": ("dims", "h", "trials", "rho_grid", "K_mode", "require_max_rho"),
+    "relu_path_slope": ("n", "cases", "tol"),
+    "norm_bounds": ("n", "alpha", "h", "trials", "rho_grid"),
+    "l0_roundtrip": ("cases",),
+}
+
+
 def run_verify(spec: ExperimentSpec) -> dict:
     """Execute the configured verification checks and build a manifest.
 
@@ -542,12 +599,15 @@ def run_verify(spec: ExperimentSpec) -> dict:
         for entry in checks:
             if entry["name"] == "k_majority":
                 entry["rho_grid"] = list(spec.sweep["values"])
+    for entry in checks:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if name not in _CHECK_RUNNERS:
+            raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
+        _known_keys(entry, f"{name}.", ("name", "required") + _CHECK_PARAMS[name])
     reports = []
     check_ms = []
     for ci, entry in enumerate(checks):
         name = entry["name"]
-        if name not in _CHECK_RUNNERS:
-            raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
         required_default = bool(entry.get("required", True))
         seed = child_seeds(spec.seed, 1, spawn_key=(ci,))[0]
         t0 = time.perf_counter()

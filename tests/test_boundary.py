@@ -10,7 +10,7 @@ import pytest
 from genrec import cli
 from genrec.generator import (Activation, GeneratorNetwork, load_net,
                               random_gaussian_net)
-from genrec.harness import ExperimentSpec, run_sweep
+from genrec.harness import ExperimentSpec, default_checks, run_sweep, run_verify
 from genrec.measurement import MeasurementModel, load_instance, sample_noise, sample_outliers
 from genrec.solvers import SolverConfig
 
@@ -405,3 +405,47 @@ class TestNegativeSeeds:
                          "--out", str(inst_path)]) == 2
         assert f"{flag} must be a non-negative integer, got -1" in one_error_line(capsys)
         assert not inst_path.exists()
+
+
+class TestVerifyCheckEntries:
+    """An unknown key in a verify check entry is rejected before any check
+    runs; a malformed gaussian_full_rank parameter is rejected by name."""
+
+    @staticmethod
+    def _verify(*checks):
+        return {"name": "v", "sweep": {"axis": "rho_grid", "values": [0.1]},
+                "checks": list(checks)}
+
+    @pytest.mark.parametrize("params, message", [
+        ({"shapes": [[0, 5]]}, r"shapes\[0\]\[0\] must be an integer >= 1, got 0"),
+        ({"shapes": [[5]]}, r"shapes\[0\] must be a \[rows, columns\] pair, got \[5\]"),
+        ({"shapes": [[3, 4.5]]}, r"shapes\[0\]\[1\] must be an integer, got 4\.5"),
+        ({"shapes": [[3, 4], [2, True]]}, r"shapes\[1\]\[1\] must be an integer, got True"),
+        ({"shapes": []}, r"shapes must be a nonempty list, got \[\]"),
+        ({"shapes": 5}, r"shapes must be a nonempty list, got 5"),
+        ({"trials": 0}, r"trials must be an integer >= 1, got 0"),
+        ({"trials": -1}, r"trials must be an integer >= 1, got -1"),
+        ({"trials": 2.5}, r"trials must be an integer, got 2\.5")])
+    def test_gaussian_full_rank_parameters(self, params, message, tmp_path, capsys):
+        config = self._verify(dict(name="gaussian_full_rank", **params))
+        with pytest.raises(ValueError, match=rf"^gaussian_full_rank\.{message}$"):
+            run_verify(ExperimentSpec.from_dict(config))
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert "gaussian_full_rank." in one_error_line(capsys)
+
+    def test_unknown_key_named_before_any_check_runs(self, tmp_path, capsys):
+        config = self._verify({"name": "l0_roundtrip", "cases": 1},
+                              {"name": "gaussian_full_rank", "trails": 3})
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = one_error_line(capsys)
+        assert "unknown config keys ['gaussian_full_rank.trails']" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("entry", default_checks(), ids=lambda e: e["name"])
+    def test_each_check_rejects_a_key_it_does_not_take(self, entry):
+        with pytest.raises(ValueError, match=rf"\['{entry['name']}\.seed'\]"):
+            run_verify(ExperimentSpec.from_dict(self._verify(dict(entry, seed=1))))

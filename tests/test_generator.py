@@ -1,8 +1,11 @@
 import json
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genrec.generator import (Activation, GeneratorNetwork, compose_linear,
                               forward, forward_pattern, jacobian,
@@ -338,6 +341,32 @@ class TestProperties:
             checked += 1
             f0, f1, f2 = (forward(net, z + t * c) for t in ts)
             np.testing.assert_allclose(f1, (f0 + f2) / 2.0, rtol=0, atol=1e-9)
+
+
+# Edge values for the leaky activation: signed zeros, infinities, quiet NaNs
+# of both signs, the smallest subnormals, and values whose h-multiple
+# underflows or stays huge.
+LEAKY_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+               5e-324, -5e-324, -1e308, 1e308]
+
+
+class TestLeakyApply:
+    """apply computes leaky ReLU as np.maximum(x, h x); for h in (0, 1] and
+    every input arithmetic can produce (NaNs are quiet), its bytes equal the
+    np.where form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False),
+                                     st.sampled_from(LEAKY_EDGES)),
+                           min_size=1, max_size=80),
+           h=st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                       st.sampled_from([0.2, 1.0, 1e-300, 5e-324])))
+    def test_bytes_equal_the_where_form(self, values, h):
+        x = np.array(values)
+        want = np.where(x >= 0.0, x, h * x)
+        for block in (x, x.reshape(1, -1), np.tile(x, (3, 1))):
+            got = Activation("leaky_relu", h).apply(block)
+            assert got.tobytes() == np.broadcast_to(want, block.shape).tobytes()
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from genrec import cli, harness
+from genrec._common import child_seeds, substreams
 from genrec.harness import (ExperimentSpec, report_long_format, run_sweep,
                             run_verify, summarize_rows)
 
@@ -229,6 +230,104 @@ class TestRunVerify:
         a = run_verify(verify_spec())
         b = run_verify(verify_spec())
         assert a["reports"] == b["reports"]
+
+
+def with_singular_values(shape, ratio, seed=0):
+    """A matrix of `shape` whose singular values fall geometrically from 1 to
+    `ratio` (0 makes it exactly rank-deficient)."""
+    rng = np.random.default_rng(seed)
+    r = min(shape)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], r)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], r)))
+    s = np.geomspace(1.0, ratio, r) if ratio > 0 else np.append(np.ones(r - 1), 0.0)
+    return (u * s) @ v.T
+
+
+def full_rank(s_max, s_min):
+    """The check's decision: sigma_min clears 1e-10 * sigma_max."""
+    return s_min - 1e-10 * s_max > 0
+
+
+def reference_gaussian_full_rank(params, seed):
+    """The check with every draw's singular values from the SVD."""
+    failures, min_margin = 0, np.inf
+    for si, shape in enumerate(params["shapes"]):
+        for rng in substreams(seed, [(si, t) for t in range(params["trials"])]):
+            sv = np.linalg.svd(rng.standard_normal(shape), compute_uv=False)
+            margin = float(sv[-1]) - 1e-10 * float(sv[0])
+            min_margin = min(min_margin, margin)
+            failures += margin <= 0
+    return failures, min_margin
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the calls to np.linalg.svd."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestGaussianFullRank:
+    """Singular values from the Gram eigenvalues when certified, else the
+    SVD: every decision is the SVD's."""
+
+    SHAPES = [(100, 784), (40, 20), (12, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-9, 1e-11, 0.0])
+    def test_decision_equals_the_svds(self, shape, ratio):
+        a = with_singular_values(shape, ratio)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert full_rank(*harness._extreme_singular_values(a)) == full_rank(sv[0], sv[-1])
+        assert full_rank(sv[0], sv[-1]) == (ratio > 1e-10)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_repeated_row_or_column_fails(self, shape):
+        a = np.random.default_rng(1).standard_normal(shape)
+        if shape[0] <= shape[1]:
+            a[-1] = a[0]
+        else:
+            a[:, -1] = a[:, 0]
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert not full_rank(sv[0], sv[-1])
+        assert not full_rank(*harness._extreme_singular_values(a))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gram_values_are_within_their_certified_bound(self, shape, svd_calls):
+        a = with_singular_values(shape, 1e-3)
+        got = harness._extreme_singular_values(a)
+        assert svd_calls == []
+        g = a @ a.T if shape[0] <= shape[1] else a.T @ a
+        delta = sum(shape) * np.finfo(np.float64).eps * np.trace(g)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert abs(got[0] ** 2 - sv[0] ** 2) <= delta
+        assert abs(got[1] ** 2 - sv[-1] ** 2) <= delta
+
+    @pytest.mark.parametrize("ratio", [1e-5, 1e-9])
+    def test_svd_runs_below_the_certified_ratio(self, ratio, svd_calls):
+        # sigma ratio 1e-5 is lambda ratio 1e-10, under _GRAM_MIN_RATIO.
+        harness._extreme_singular_values(with_singular_values((40, 20), ratio))
+        assert svd_calls == [(40, 20)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_default_entry_takes_no_svd_and_keeps_the_svds_decisions(self, seed,
+                                                                     svd_calls):
+        entry = harness.default_checks()[0]
+        assert entry["name"] == "gaussian_full_rank"
+        [report] = run_verify(verify_spec(checks=[entry], seed=seed))["reports"]
+        assert svd_calls == []
+        check_seed = child_seeds(seed, 1, spawn_key=(0,))[0]
+        failures, min_margin = reference_gaussian_full_rank(entry, check_seed)
+        assert report["trials"] == 60
+        assert report["failures"] == failures == 0
+        assert report["min_margin"] == pytest.approx(min_margin, rel=1e-12, abs=0)
 
 
 class TestReport:
