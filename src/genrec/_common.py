@@ -246,3 +246,25 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: malformed JSON: {err}") from None
+
+
+def load_json(path, parse):
+    """`parse` of the JSON value in the file at `path`. Malformed JSON, and
+    a ValueError or TypeError from `parse`, raise a ValueError naming the
+    file."""
+    value = read_json(path)
+    try:
+        return parse(value)
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def require_keys(d, keys, what: str) -> dict:
+    """`d`, checked to be a JSON object holding every key of `keys`; else a
+    ValueError naming `what` and its type or the first missing key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing the required key {missing[0]!r}")
+    return d

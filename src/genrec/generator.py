@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_rows, matvec, read_json
+from ._common import as_rows, load_json, matvec, require_keys
 
 IDENTITY = "identity"
 RELU = "relu"
@@ -60,6 +60,7 @@ class Activation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Activation":
+        require_keys(d, ("kind",), "activation")
         return cls(kind=d["kind"], h=float(d.get("h", 1.0)))
 
 
@@ -284,6 +285,9 @@ def net_to_dict(net: GeneratorNetwork) -> dict:
 
 
 def net_from_dict(d: dict) -> GeneratorNetwork:
+    """The network of a `net_to_dict` object; one that is not an object or
+    lacks a key raises a ValueError naming it."""
+    require_keys(d, ("dims", "weights", "biases", "activation"), "net")
     return GeneratorNetwork(
         dims=tuple(d["dims"]),
         weights=tuple(np.asarray(w, dtype=np.float64) for w in d["weights"]),
@@ -299,4 +303,6 @@ def save_net(net: GeneratorNetwork, path) -> None:
 
 
 def load_net(path) -> GeneratorNetwork:
-    return net_from_dict(read_json(path))
+    """The network saved at `path`; a malformed file raises a ValueError
+    naming it."""
+    return load_json(path, net_from_dict)

@@ -404,7 +404,7 @@ def _check_every_r_rows(params, seed):
 
 
 def _check_leaky_beta_range(params, seed):
-    trials = int(params.get("trials", 10_000))
+    trials = _positive(params.get("trials", 10_000), "leaky_beta_range.trials")
     rng = substream(seed, ())
     failures = 0
     min_margin = math.inf
@@ -430,7 +430,7 @@ def _check_leaky_beta_range(params, seed):
 def _check_leaky_layer_lift(params, seed):
     dims = list(params.get("dims", [6, 24, 48]))
     h = float(params.get("h", 0.2))
-    pairs = int(params.get("pairs", 50))
+    pairs = _positive(params.get("pairs", 50), "leaky_layer_lift.pairs")
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
     failures = 0
     min_margin = math.inf
@@ -470,8 +470,8 @@ def _check_k_majority(params, seed):
 
 
 def _check_relu_path_slope(params, seed):
-    n = int(params.get("n", 50))
-    cases = int(params.get("cases", 200))
+    n = _positive(params.get("n", 50), "relu_path_slope.n")
+    cases = _positive(params.get("cases", 200), "relu_path_slope.cases")
     tol = float(params.get("tol", 1e-9))
     failures = 0
     worst = 0.0
@@ -525,7 +525,7 @@ def _check_norm_bounds(params, seed):
 
 
 def _check_l0_roundtrip(params, seed):
-    cases = int(params.get("cases", 12))
+    cases = _positive(params.get("cases", 12), "l0_roundtrip.cases")
     discrepancies = 0
     details = []
     for t, rng in enumerate(substreams(seed, [(t,) for t in range(cases)])):
@@ -585,6 +585,17 @@ _CHECK_PARAMS = {
     "l0_roundtrip": ("cases",),
 }
 
+# The count parameters that run_verify checks with `_positive` before any
+# check runs: a count of 0 would report a pass with nothing checked. Each
+# check takes them through `_positive` too.
+_CHECK_COUNTS = {
+    "gaussian_full_rank": ("trials",),
+    "leaky_beta_range": ("trials",),
+    "leaky_layer_lift": ("pairs",),
+    "relu_path_slope": ("n", "cases"),
+    "l0_roundtrip": ("cases",),
+}
+
 
 def run_verify(spec: ExperimentSpec) -> dict:
     """Execute the configured verification checks and build a manifest.
@@ -604,6 +615,9 @@ def run_verify(spec: ExperimentSpec) -> dict:
         if name not in _CHECK_RUNNERS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
         _known_keys(entry, f"{name}.", ("name", "required") + _CHECK_PARAMS[name])
+        for key in _CHECK_COUNTS.get(name, ()):
+            if key in entry:
+                _positive(entry[key], f"{name}.{key}")
     reports = []
     check_ms = []
     for ci, entry in enumerate(checks):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import as_vector, child_seeds, read_json
+from ._common import as_vector, child_seeds, load_json, require_keys
 from .generator import GeneratorNetwork, forward
 
 GAUSSIAN = "gaussian"
@@ -214,8 +214,11 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> ProblemInstance:
-    meta = d["meta"]
-    seeds = meta.get("seeds", {})
+    """The instance of an `instance_to_dict` object; one that is not an
+    object or lacks a key raises a ValueError naming it."""
+    require_keys(d, ("net_ref", "z0", "x0", "M", "e", "eta", "y", "seed", "meta"), "instance")
+    meta = require_keys(d["meta"], ("l", "noise_target", "matrix_kind"), "instance meta")
+    seeds = require_keys(meta.get("seeds", {}), (), "instance meta.seeds")
     return ProblemInstance(
         net_ref=d["net_ref"],
         z0=np.asarray(d["z0"], dtype=np.float64),
@@ -240,7 +243,9 @@ def save_instance(inst: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    return instance_from_dict(read_json(path))
+    """The instance saved at `path`; a malformed file raises a ValueError
+    naming it."""
+    return load_json(path, instance_from_dict)
 
 
 def reassemble_y(inst: ProblemInstance) -> np.ndarray:

@@ -249,13 +249,14 @@ def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return (cached != pattern).any(axis=-1)
 
 
-# admm_l1 takes the region model (`_evaluate`) on nets whose layered
-# evaluation of M G(z) costs at least this many multiply-adds per row:
-# k n_1 + n_1 n_2 + ... + n_(d-1) n + m n. The cut sits at the crossover
-# measured on [k, w, w] leaky nets (k = 5 and 20, m = w / 2, 100 iterations
-# from random starts, one BLAS thread, B = 1 and B = 10 rows). The ratio of
-# layered to model time per iteration was 0.85-1.02 at w = 100 (16k
-# multiply-adds), 0.97-1.12 at w = 300 (140k) and 1.06-1.38 at w = 400 (245k).
+# admm_l1 and the descent solvers take the region model (`_evaluate`,
+# `_descend`) on nets whose layered evaluation of M G(z) costs at least this
+# many multiply-adds per row: k n_1 + n_1 n_2 + ... + n_(d-1) n + m n. The
+# cut sits at admm_l1's crossover, measured on [k, w, w] leaky nets (k = 5
+# and 20, m = w / 2, 100 iterations from random starts, one BLAS thread,
+# B = 1 and B = 10 rows). The ratio of layered to model time per iteration
+# was 0.85-1.02 at w = 100 (16k multiply-adds), 0.97-1.12 at w = 300 (140k)
+# and 1.06-1.38 at w = 400 (245k).
 _REGION_MODEL_MIN_MACS = 200_000
 
 # _descend's backtracking evaluates as many trial steps per pass as keep the
@@ -286,8 +287,8 @@ def _uses_region_model(net: GeneratorNetwork, m: int) -> bool:
     return _row_macs(net, m) >= _REGION_MODEL_MIN_MACS
 
 
-# admm_l1 moves a stale row's region model (P, p, A, c) to its new pattern by
-# the flipped units' rank-r terms (`_update`) when that costs at most this
+# A stale row's region model (P, p, A, c) moves to its new pattern by the
+# flipped units' rank-r terms (`_update`) when that costs at most this
 # fraction of a rebuild's multiply-adds (`_update_macs`), and after
 # `_UPDATE_REFRESH` updates in a row rebuilds it from `region_maps`, to bound
 # drift. 0 turns updates off. CPU time on [20,500,500,784] with m = 200 (one
@@ -378,13 +379,23 @@ def _z_operator(a: np.ndarray) -> np.ndarray | None:
     return (inv.T @ inv) @ a.T
 
 
-def _relinearize(net: GeneratorNetwork, M, pat, stale, a, a_pinv, region, c) -> None:
-    """Bring the `stale` rows of admm_l1's region model, `region` =
+def _empty_region(rows: int, width: int, k: int) -> tuple:
+    """Unbuilt region models for `rows` rows with `width` pattern units:
     (P, p, the pattern the maps were built for, updates since the last
-    rebuild), A and c, and their z-operators to the patterns `pat`: by
-    `_update` and `_z_operator` where that is cheap enough, not yet due for
-    a refresh and well conditioned, else rebuilt from `region_maps` and
-    `pseudo_inverse`. Each row's choice and arithmetic are its own."""
+    rebuild). A row's first build is a rebuild: it counts as due for a
+    refresh."""
+    return (np.empty((rows, width, k)), np.empty((rows, width)),
+            np.empty((rows, width), dtype=bool), np.full(rows, _UPDATE_REFRESH))
+
+
+def _move_region(net: GeneratorNetwork, M, pat, stale, a, region, c,
+                 accept: Callable[[int], bool] | None = None) -> np.ndarray:
+    """Bring the `stale` rows of a region model, `region` (see
+    `_empty_region`), A and c, to the patterns `pat`: by `_update` where
+    that is cheap enough, not yet due for a refresh and taken by `accept`
+    (called with the row after its update, when given), else rebuilt from
+    `region_maps`. Returns the rows rebuilt. Each row's choice and
+    arithmetic are its own."""
     built, updates = region[2], region[3]
     rebuild = stale.copy()
     todo = np.flatnonzero(stale & (updates < _UPDATE_REFRESH))
@@ -397,29 +408,50 @@ def _relinearize(net: GeneratorNetwork, M, pat, stale, a, a_pinv, region, c) -> 
                 continue
             _update(net, _rows(M, row), region[0][row], region[1][row], a[row], c[row],
                     built[row], pat[row])
-            op = _z_operator(a[row])
-            if op is not None:
-                a_pinv[row], built[row], rebuild[row] = op, pat[row], False
+            if accept is None or accept(row):
+                built[row], rebuild[row] = pat[row], False
                 updates[row] += 1
     if rebuild.any():
         maps = region_maps(net, pat[rebuild])
         M = _rows(M, rebuild)
         a[rebuild] = M @ maps.J
         region[0][rebuild], region[1][rebuild], c[rebuild] = maps.P, maps.p, matvec(M, maps.g)
-        a_pinv[rebuild] = pseudo_inverse(a[rebuild])
         built[rebuild], updates[rebuild] = pat[rebuild], 0
+    return rebuild
+
+
+def _relinearize(net: GeneratorNetwork, M, pat, stale, a, a_pinv, region, c) -> None:
+    """`_move_region` for admm_l1, with each stale row's z-operator: an
+    updated row takes `_z_operator`, or is rebuilt where that gives none;
+    a rebuilt row takes `pseudo_inverse`."""
+    def accept(row):
+        op = _z_operator(a[row])
+        if op is not None:
+            a_pinv[row] = op
+        return op is not None
+
+    rebuilt = _move_region(net, M, pat, stale, a, region, c, accept)
+    if rebuilt.any():
+        a_pinv[rebuilt] = pseudo_inverse(a[rebuilt])
+
+
+def _leaves(z, pat, region) -> tuple[np.ndarray, np.ndarray]:
+    """The activation pattern P z + p >= 0 of each row of z under the region
+    model `region` = (P, p, ...), and the rows whose pattern differs from
+    `pat`, the one the maps were built for: those left the region. The
+    arrays may carry broadcast axes, as long as they line up."""
+    big_p, small_p = region[:2]
+    pat_new = matvec(big_p, z) + small_p >= 0.0
+    return pat_new, (pat_new != pat).any(axis=-1)
 
 
 def _evaluate(net: GeneratorNetwork, M, z, pat, a, region,
               c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M G(z), the activation pattern of each row of z and the rows whose
-    pattern differs from `pat`, through the region model `region` =
-    (P, p, ...) and c: a row whose pre-activations P z + p keep the pattern
-    its maps were built for, `pat`, stays in that region, where
-    M G(z) = A z + c. Rows that left it go through the layers."""
-    big_p, small_p = region[:2]
-    pat_new = matvec(big_p, z) + small_p >= 0.0
-    left = (pat_new != pat).any(axis=-1)
+    pattern differs from `pat`, through the region model `region` and c: a
+    row that stays in its region (see `_leaves`) takes M G(z) = A z + c.
+    Rows that left it go through the layers."""
+    pat_new, left = _leaves(z, pat, region)
     mgz = matvec(a, z) + c
     if left.any():
         x, pat_new[left] = forward_pattern(net, z[left])
@@ -437,9 +469,10 @@ class _RowState:
 
     # `_Block`'s row indices and results, then the solvers' entries. Slots, not a dict: the
     # solver loops read and write them dozens of times per iteration.
-    __slots__ = ("rows", "eps_m", "z_hat", "M", "y", "problem", "z", "z_new", "pat", "pat_new",
+    __slots__ = ("rows", "eps_m", "z_hat", "M", "y", "z", "z_new", "pat", "pat_new",
                  "r", "r_new", "mgz", "d", "w", "u", "a", "a_pinv", "region", "b", "c",
-                 "stale", "f", "f_new", "g", "g_new", "pres", "pres_new", "t_trial")
+                 "stale", "held", "inside", "f", "f_new", "g", "g_new", "pres", "pres_new",
+                 "t_trial")
 
     def __init__(self):
         for name in self.__slots__:
@@ -641,9 +674,7 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     s.a, s.a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
     s.region = ()
     if _uses_region_model(net, m):
-        # A row's first build is a rebuild: it counts as due for a refresh.
-        s.region = (np.empty((rows, s.pat.shape[1], net.k)), np.empty(s.pat.shape),
-                    np.empty_like(s.pat), np.full(rows, _UPDATE_REFRESH))
+        s.region = _empty_region(rows, s.pat.shape[1], net.k)
         s.c = np.empty((rows, m))
     elif linear:
         s.c = np.broadcast_to(matvec(M, _offset(net)), (rows, m))
@@ -716,19 +747,30 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     M G(z) - y and `layer_preactivations` (none on a composed identity
     problem) of a block of rows; `grad(z, r, pres) -> g` their
     (sub)gradients, by one backward pass from those pre-activations. Each
-    row keeps its own objective, gradient, trial step and the
-    pre-activations of its accepted point, no Jacobian. Each row stops on
+    row keeps its own objective, gradient and trial step. Each row stops on
     its own: at max_iters, on ||step|| < tol_step, when _MAX_BACKTRACKS
     trial steps find no decrease (a nonsmooth stall), or, dropped as
     diverged, on a non-finite iterate. Accepted steps never increase a
     row's objective. The row whose last iterate has the smallest eps_m is
     returned.
 
-    For T problems, z is their (T, R, k) block and `problem` holds M and y
-    with one problem per row, compacted with the other per-row state;
-    `value(z, *problem)` (z an equal run of trial points per problem row)
-    and `grad(z, r, pres, *problem)` take those of the rows they evaluate,
-    and the result is a list, one entry per problem (see `_Block.result`).
+    `problem` holds the problem's M and y: one problem shared by every row,
+    which `value` and `grad` also hold, or, for T problems, one per row,
+    compacted with the other per-row state; then z is their (T, R, k) block,
+    `value(z, M, y)` (z an equal run of trial points per problem row) and
+    `grad(z, r, pres, M, y)` take those of the rows they evaluate, and the
+    result is a list, one entry per problem (see `_Block.result`).
+
+    On ReLU and leaky-ReLU nets above the region-model cut
+    (`_uses_region_model`), a row whose accepted point keeps the activation
+    pattern of the one before, and that holds no model for it, builds that
+    region's model, as admm_l1 keeps it (`_move_region`: P, p, A = M J,
+    c = M g, and b = y - c). While it holds one, a trial point whose
+    P z + p keep the model's pattern is measured on the composed problem
+    A z - b, `value(z, A, b, composed=True)`, and an accepted point inside
+    the region takes `grad(z, r, (), A)`, A^T times the residual's weight;
+    points that leave the region go through the layers. Below the cut, and
+    when `problem` is empty, every point goes through the layers.
 
     Backtracking runs in passes. Each pass evaluates, as one block, the next
     trial steps t, t s, t s^2, ... (s = armijo_shrink) of every row still
@@ -738,17 +780,26 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     """
     blk = _Block(z, keep_best=False)
     s = blk.s
-    s.problem = problem
+    if problem:
+        s.M, s.y = problem
     m = y.shape[-1]
-    s.f, s.r, pres = value(s.z, *s.problem)
+    s.f, s.r, pres = value(s.z, *_problem_rows(s, slice(None)))
     s.pres = tuple(pres)   # one array per layer, compacted with the rows
     blk.diverge(s.f, error="non-finite objective at the initial point")
-    s.g = grad(s.z, s.r, s.pres, *s.problem)
+    s.g = grad(s.z, s.r, s.pres, *_problem_rows(s, slice(None)))
     blk.diverge(s.g, error="non-finite gradient at the initial point")
     blk.record(s.f, None, _l1(s.r), s.z)
     s.r = None   # read for the last time
     blk.stop(~s.g.any(axis=-1), converged=True)
 
+    model = (s.M is not None and net.activation.kind != IDENTITY
+             and _uses_region_model(net, m))
+    if model:
+        rows = len(s.z)
+        s.pat = np.concatenate(s.pres, axis=-1) >= 0.0
+        s.region = _empty_region(rows, s.pat.shape[1], net.k)
+        s.a, s.c = np.empty((rows, m, net.k)), np.zeros((rows, m))
+        s.held = np.zeros(rows, dtype=bool)
     macs = _row_macs(net, m)
     s.t_trial = np.full(len(s.z), cfg.step_init)
     for q in range(1, cfg.max_iters + 1):
@@ -760,6 +811,8 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             gg = gg[gg != 0.0]
         s.z_new, s.f_new, s.r_new = np.empty_like(s.z), np.empty_like(s.f), np.empty((len(s.z), m))
         s.pres_new = tuple(np.empty_like(p) for p in s.pres)
+        if model:
+            s.inside = np.zeros(len(s.z), dtype=bool)
         todo, t, tried = np.arange(len(s.z)), s.t_trial, 0
         while todo.size and tried < _MAX_BACKTRACKS:
             sel = todo if todo.size < len(s.z) else slice(None)   # views on the first pass
@@ -771,7 +824,10 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             steps[:, 0], steps[:, 1:] = t, cfg.armijo_shrink
             np.multiply.accumulate(steps, axis=1, out=steps)
             z_try = (s.z[sel, None] - steps[..., None] * s.g[sel, None]).reshape(-1, s.z.shape[1])
-            f_try, r_try, pres = value(z_try, *(a[sel] for a in s.problem))
+            if model:
+                f_try, r_try, pres, inside = _region_values(s, value, sel, z_try, width)
+            else:
+                f_try, r_try, pres = value(z_try, *_problem_rows(s, sel))
             armijo = s.f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
             # The bound is at most f, which is finite, so a NaN or inf f_try fails it.
             ok = (f_try <= armijo.ravel()).reshape(steps.shape)
@@ -785,10 +841,15 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             s.z_new[done], s.f_new[done], s.r_new[done] = z_try[pick], f_try[pick], r_try[pick]
             for p_new, p in zip(s.pres_new, pres):
                 p_new[done] = p[pick]
+            if model:
+                s.inside[done] = inside[pick]
             tried += width
         if todo.size:   # rows whose trial steps all failed: stalled
             blk.stop(np.isin(np.arange(len(s.z)), todo))
-        s.g_new = grad(s.z_new, s.r_new, s.pres_new, *s.problem)
+        if model and s.inside.any():
+            s.g_new = _region_grad(s, grad)
+        else:
+            s.g_new = grad(s.z_new, s.r_new, s.pres_new, *_problem_rows(s, slice(None)))
         blk.diverge(s.z_new, s.g_new, error=f"non-finite iterate at iteration {q}")
 
         step = s.z_new - s.z
@@ -804,13 +865,88 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
         done = np.sqrt(ss) < cfg.tol_step
         if done.any():
             blk.stop(done, converged=True)
+        if model:
+            _settle_regions(net, s)
     return blk.result(net)
+
+
+def _problem_rows(s: _RowState, rows) -> tuple:
+    """What `value` and `grad` take of a descent block's problem for the
+    rows `rows` of `s`: nothing for a problem they hold (shared, or not
+    given), else those rows' M and y."""
+    return () if s.M is None or s.M.ndim == 2 else (s.M[rows], s.y[rows])
+
+
+def _region_values(s: _RowState, value: Callable, sel, z_try: np.ndarray, width: int):
+    """`value`'s (f, r, pres) at the trial points z_try of `_descend`'s
+    rows `sel` of `s`, `width` consecutive points per row, and which points
+    stayed in their row's region model. Those are measured on the composed
+    A z - b, with no pre-activations (their rows of pres are left unset);
+    the others, all points when none stayed, go through the layers."""
+    ids = np.arange(len(s.z))[sel]
+    inside = np.zeros((len(ids), width), dtype=bool)
+    held = np.flatnonzero(s.held[ids])
+    if held.size:
+        rows = sel if held.size == len(ids) else ids[held]   # views when sel is
+        big_p, small_p, built = (a[rows][:, None] for a in s.region[:3])
+        _, left = _leaves(z_try.reshape(len(ids), width, -1)[held], built, (big_p, small_p))
+        inside[held] = ~left
+    inside = inside.ravel()
+    if inside.all():   # equal runs of points per row, as the layered call takes them
+        return (*value(z_try, s.a[sel], s.b[sel], composed=True), inside)
+    if not inside.any():
+        return (*value(z_try, *_problem_rows(s, sel)), inside)
+    own, out = np.repeat(ids, width), ~inside
+    f, r = np.empty(len(z_try)), np.empty((len(z_try), s.a.shape[1]))
+    pres = [np.empty((len(z_try),) + p.shape[1:]) for p in s.pres]
+    f[inside], r[inside], _ = value(z_try[inside], s.a[own[inside]], s.b[own[inside]],
+                                    composed=True)
+    if out.any():
+        f[out], r[out], layered = value(z_try[out], *_problem_rows(s, own[out]))
+        for p, p_out in zip(pres, layered):
+            p[out] = p_out
+    return f, r, pres, inside
+
+
+def _region_grad(s: _RowState, grad: Callable) -> np.ndarray:
+    """`grad` at `_descend`'s accepted points z_new: A^T times the
+    residual's weight for rows whose point stayed in their region model,
+    one backward pass through the layers for the others."""
+    if s.inside.all():
+        return grad(s.z_new, s.r_new, (), s.a)
+    g, inside, out = np.empty_like(s.z_new), s.inside, ~s.inside
+    g[inside] = grad(s.z_new[inside], s.r_new[inside], (), s.a[inside])
+    if out.any():
+        g[out] = grad(s.z_new[out], s.r_new[out], tuple(p[out] for p in s.pres_new),
+                      *_problem_rows(s, out))
+    return g
+
+
+def _settle_regions(net: GeneratorNetwork, s: _RowState) -> None:
+    """Take `_descend`'s accepted points' activation patterns into `s.pat`,
+    and build or move (`_move_region`) the region model of each row whose
+    pattern held over its last step and that holds no model for it. A row
+    whose pattern still changes builds nothing: early on, patterns change
+    at most steps, and a model built there would rarely be used."""
+    built = s.region[2]
+    if s.inside.all():   # every row holds the model of its pattern
+        s.pat, s.inside = built.copy(), None
+        return
+    pat, out = built.copy(), ~s.inside
+    pat[out] = np.concatenate([p[out] for p in s.pres], axis=-1) >= 0.0
+    due = ~_stale(s.pat, pat) & (~s.held | _stale(built, pat))
+    s.pat, s.inside = pat, None
+    if due.any():
+        _move_region(net, s.M, pat, due, s.a, s.region, s.c)
+        s.b = s.y - s.c
+        s.held |= due
 
 
 def _signal(net: GeneratorNetwork, z, linear: bool):
     """What a descent solve measures at each row of z, and the pre-activations
     it came from: G(z) and its `layer_preactivations`, or, on a problem
-    composed with an identity net (`linear`, see `_problem`), z and none."""
+    composed with an identity net or a region model (`linear`, see
+    `_problem` and `_descend`), z and none."""
     if linear:
         return z, ()
     pres = layer_preactivations(net, z)
@@ -825,15 +961,17 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
     2 ||r||_1 J^T M^T sign(r) with sign(0) = 0; the objective is
     non-differentiable only on a measure-zero set. On an identity net the
     solve runs on the composed A z - b (see `_problem`), with gradient
-    2 ||r||_1 A^T sign(r). z0 may be a (B, k) block of starting points, or
-    T problems' (T, R, k) block, as in `_descend`.
+    2 ||r||_1 A^T sign(r); on nets above the region-model cut, so do the
+    points that stay in a row's region model (see `_descend`). z0 may be a
+    (B, k) block of starting points, or T problems' (T, R, k) block, as in
+    `_descend`.
     """
     _check_method(cfg, GD_L1SQ)
     linear = net.activation.kind == IDENTITY
     M, y, z = _problem(net, M, y, cfg, z0, compose=linear)
 
-    def value(z, M=M, y=y):
-        x, pres = _signal(net, z, linear)
+    def value(z, M=M, y=y, *, composed=linear):
+        x, pres = _signal(net, z, composed)
         r = _residual(M, x, y)
         l1 = _l1(r)
         return l1 * l1, r, pres
@@ -842,22 +980,24 @@ def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
         g = pullback(net, pres, matvec(np.swapaxes(M, -1, -2), np.sign(r)))
         return (2.0 * _l1(r))[:, None] * g
 
-    return _descend(net, y, cfg, z, value, grad, *((M, y) if M.ndim == 3 else ()))
+    return _descend(net, y, cfg, z, value, grad, M, y)
 
 
 def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
                   z0=None) -> RecoveryResult | list:
     """Gradient descent on ||M G(z) - y||_2^2, plus lambda_reg ||z||_2^2 for
     the regularized method. On an identity net the solve runs on the
-    composed A z - b (see `_problem`). z0 may be a (B, k) block of starting
-    points, or T problems' (T, R, k) block, as in `_descend`."""
+    composed A z - b (see `_problem`); on nets above the region-model cut,
+    so do the points that stay in a row's region model (see `_descend`).
+    z0 may be a (B, k) block of starting points, or T problems' (T, R, k)
+    block, as in `_descend`."""
     _check_method(cfg, GD_L2SQ, GD_L2SQ_REG)
     linear = net.activation.kind == IDENTITY
     M, y, z = _problem(net, M, y, cfg, z0, compose=linear)
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
-    def value(z, M=M, y=y):
-        x, pres = _signal(net, z, linear)
+    def value(z, M=M, y=y, *, composed=linear):
+        x, pres = _signal(net, z, composed)
         r = _residual(M, x, y)
         f = row_dot(r, r)
         if lam > 0:
@@ -870,7 +1010,7 @@ def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
             g = g + 2.0 * lam * z
         return g
 
-    return _descend(net, y, cfg, z, value, grad, *((M, y) if M.ndim == 3 else ()))
+    return _descend(net, y, cfg, z, value, grad, M, y)
 
 
 _SOLVERS: dict[str, Callable] = {

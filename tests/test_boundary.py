@@ -3,11 +3,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from genrec import cli
+from genrec import cli, harness
 from genrec.generator import (Activation, GeneratorNetwork, load_net,
                               random_gaussian_net)
 from genrec.harness import ExperimentSpec, default_checks, run_sweep, run_verify
@@ -150,6 +151,92 @@ class TestMalformedJson:
             capsys.readouterr()
             assert cli.main(argv) == 2, argv
             assert f"{bad}: malformed JSON" in one_error_line(capsys), argv
+
+
+class TestMalformedNetAndInstanceFiles:
+    """A net or instance file that is not a JSON object, or lacks a key,
+    is a ValueError naming the file and the key or type, and one error
+    line from every CLI command that reads it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--out", str(inst_path)]) == 0
+        return net_path, inst_path
+
+    @staticmethod
+    def _runs(net_path, inst_path, tmp_path):
+        return [["gen-instance", "--net", str(net_path), "--m", "6",
+                 "--out", str(tmp_path / "x.json")],
+                ["solve", "--net", str(net_path), "--instance", str(inst_path),
+                 "--method", "gd-l2sq"]]
+
+    def _rejected(self, capsys, runs, bad, message):
+        for argv in runs:
+            if str(bad) not in argv:
+                continue
+            capsys.readouterr()
+            assert cli.main(argv) == 2, argv
+            assert f"{bad}: {message}" in one_error_line(capsys), argv
+
+    @pytest.mark.parametrize("key", ["dims", "weights", "biases", "activation"])
+    def test_net_missing_a_key(self, files, tmp_path, capsys, key):
+        net_path, inst_path = files
+        d = json.loads(net_path.read_text())
+        del d[key]
+        net_path.write_text(json.dumps(d))
+        message = f"net is missing the required key '{key}'"
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{net_path}: {message}')}$"):
+            load_net(net_path)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path, message)
+
+    def test_net_activation_missing_its_kind(self, files, tmp_path, capsys):
+        net_path, inst_path = files
+        d = json.loads(net_path.read_text())
+        d["activation"] = {"h": 0.2}
+        net_path.write_text(json.dumps(d))
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path,
+                       "activation is missing the required key 'kind'")
+
+    @pytest.mark.parametrize("key", ["net_ref", "z0", "x0", "M", "e", "eta", "y", "seed",
+                                     "meta", "meta.l", "meta.noise_target",
+                                     "meta.matrix_kind"])
+    def test_instance_missing_a_key(self, files, tmp_path, capsys, key):
+        net_path, inst_path = files
+        d = json.loads(inst_path.read_text())
+        *outer, last = key.split(".")
+        (d[outer[0]] if outer else d).pop(last)
+        inst_path.write_text(json.dumps(d))
+        what = "instance meta" if outer else "instance"
+        message = f"{what} is missing the required key '{last}'"
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{inst_path}: {message}')}$"):
+            load_instance(inst_path)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), inst_path, message)
+
+    @pytest.mark.parametrize("value, kind", [([1, 2], "list"), ("net", "str"), (3, "int"),
+                                             (None, "NoneType")])
+    def test_non_object_files(self, files, tmp_path, capsys, value, kind):
+        net_path, inst_path = files
+        for path, load, what in ((net_path, load_net, "net"),
+                                 (inst_path, load_instance, "instance")):
+            saved = path.read_text()
+            path.write_text(json.dumps(value))
+            message = f"{what} must be a JSON object, got {kind}"
+            with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+                load(path)
+            self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), path, message)
+            path.write_text(saved)
+
+    def test_wrong_types_inside_are_one_error_line(self, files, tmp_path, capsys):
+        net_path, inst_path = files
+        d = json.loads(net_path.read_text())
+        d["dims"] = 5
+        net_path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(net_path))}: "):
+            load_net(net_path)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path, "")
 
 
 class TestSolverConfigValues:
@@ -408,8 +495,9 @@ class TestNegativeSeeds:
 
 
 class TestVerifyCheckEntries:
-    """An unknown key in a verify check entry is rejected before any check
-    runs; a malformed gaussian_full_rank parameter is rejected by name."""
+    """An unknown key in a verify check entry, or a check count that is not
+    an integer >= 1, is rejected before any check runs; a malformed
+    gaussian_full_rank parameter is rejected by name."""
 
     @staticmethod
     def _verify(*checks):
@@ -434,6 +522,30 @@ class TestVerifyCheckEntries:
         path.write_text(json.dumps(config))
         assert cli.main(["verify", "--config", str(path)]) == 2
         assert "gaussian_full_rank." in one_error_line(capsys)
+
+    @pytest.mark.parametrize("name, key, bad", [
+        ("leaky_beta_range", "trials", 0), ("leaky_beta_range", "trials", 2.5),
+        ("leaky_layer_lift", "pairs", -3), ("relu_path_slope", "cases", 0),
+        ("relu_path_slope", "n", 0), ("l0_roundtrip", "cases", 0)])
+    def test_counts_rejected_before_any_check_runs(self, monkeypatch, tmp_path, capsys,
+                                                   name, key, bad):
+        message = (f"must be an integer >= 1, got {bad}" if isinstance(bad, int)
+                   else f"must be an integer, got {bad}")
+        ran, runners = [], dict(harness._CHECK_RUNNERS)
+        for check in runners:   # no check may run
+            monkeypatch.setitem(harness._CHECK_RUNNERS, check,
+                                lambda params, seed: ran.append(params) or [])
+        config = self._verify({"name": "l0_roundtrip", "cases": 1}, {"name": name, key: bad})
+        with pytest.raises(ValueError, match=rf"^{name}\.{key} {re.escape(message)}$"):
+            run_verify(ExperimentSpec.from_dict(config))
+        # The check itself rejects the count too, when called on its own.
+        with pytest.raises(ValueError, match=rf"^{name}\.{key} {re.escape(message)}$"):
+            runners[name]({key: bad}, 5)
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert f"{name}.{key} {message}" in one_error_line(capsys)
+        assert ran == [] and not (tmp_path / "run").exists()
 
     def test_unknown_key_named_before_any_check_runs(self, tmp_path, capsys):
         config = self._verify({"name": "l0_roundtrip", "cases": 1},

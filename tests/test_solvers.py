@@ -556,7 +556,7 @@ class TestBatchedLineSearch:
         solves = []
         original = solvers._descend
 
-        def descend(net, y, cfg, z, value, grad):
+        def descend(net, y, cfg, z, value, grad, *problem):
             calls = {"f": [], "grad": 0}
             solves.append(calls)
 
@@ -568,7 +568,7 @@ class TestBatchedLineSearch:
             def counted_grad(*args):
                 calls["grad"] += 1
                 return grad(*args)
-            return original(net, y, cfg, z, counted_value, counted_grad)
+            return original(net, y, cfg, z, counted_value, counted_grad, *problem)
         monkeypatch.setattr(solvers, "_descend", descend)
         return solves
 
