@@ -89,7 +89,7 @@ class ExperimentSpec:
             sweep=d["sweep"],
             solvers=solvers,
             trials_per_point=_integer(d.get("trials_per_point", 1), "trials_per_point"),
-            seed=_seed(d.get("seed", 0), "seed"),
+            seed=_nonnegative(d.get("seed", 0), "seed"),
             output_dir=d.get("output_dir"),
             checks=tuple(checks) if checks is not None else None,
         )
@@ -126,12 +126,13 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _seed(value, key: str) -> int:
-    """`value` as an RNG seed: an int, as `_integer` takes it, and >= 0."""
-    seed = _integer(value, key)
-    if seed < 0:
-        raise ValueError(f"{key} must be a non-negative integer, got {seed}")
-    return seed
+def _nonnegative(value, key: str) -> int:
+    """`value` as an int, as `_integer` takes it, and >= 0: an RNG seed, or a
+    count that may be 0."""
+    n = _integer(value, key)
+    if n < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {n}")
+    return n
 
 
 def _positive(value, key: str) -> int:
@@ -142,12 +143,20 @@ def _positive(value, key: str) -> int:
     return n
 
 
+def _widths(value, key: str) -> list[int]:
+    """`value` as a list of layer widths: at least two ints, each as
+    `_positive` takes it."""
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ValueError(f"{key} must be a list of at least two integers, got {value!r}")
+    return [_positive(w, f"{key}[{i}]") for i, w in enumerate(value)]
+
+
 def build_net(net_spec: dict) -> GeneratorNetwork:
     if "dims" not in net_spec:
         raise ValueError("net config is missing the required key 'net.dims'")
     act = Activation.from_dict(net_spec.get("activation", {"kind": "identity"}))
     dims = [_integer(w, "each of net.dims") for w in net_spec["dims"]]
-    return random_gaussian_net(dims, act, _seed(net_spec.get("seed", 0), "net.seed"))
+    return random_gaussian_net(dims, act, _nonnegative(net_spec.get("seed", 0), "net.seed"))
 
 
 def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
@@ -392,12 +401,14 @@ def _check_every_r_rows(params, seed):
         w = np.asarray(params["matrix"], dtype=np.float64)
         n, k = w.shape
     else:
-        n, k = int(params["n"]), int(params["k"])
-        mid = int(params.get("mid", k))
+        n = _positive(params["n"], "every_r_rows_full_rank.n")
+        k = _positive(params["k"], "every_r_rows_full_rank.k")
+        mid = _positive(params.get("mid", k), "every_r_rows_full_rank.mid")
         rng = substream(seed, ())
         w = rng.standard_normal((n, mid)) @ rng.standard_normal((mid, k))
-    l = int(params.get("outliers", 2))
-    r = int(params.get("r", n - (2 * l + 1)))
+    l = _nonnegative(params.get("outliers", 2), "every_r_rows_full_rank.outliers")
+    r = (_positive(params["r"], "every_r_rows_full_rank.r") if "r" in params
+         else n - (2 * l + 1))
     report = theory.every_r_rows_full_rank(w, r)
     report.params.update({"outliers": l, "seed": seed})
     return [(report, True)]
@@ -428,7 +439,7 @@ def _check_leaky_beta_range(params, seed):
 
 
 def _check_leaky_layer_lift(params, seed):
-    dims = list(params.get("dims", [6, 24, 48]))
+    dims = _widths(params.get("dims", [6, 24, 48]), "leaky_layer_lift.dims")
     h = float(params.get("h", 0.2))
     pairs = _positive(params.get("pairs", 50), "leaky_layer_lift.pairs")
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
@@ -451,12 +462,12 @@ def _check_leaky_layer_lift(params, seed):
 
 
 def _check_k_majority(params, seed):
-    dims = list(params.get("dims", [10, 40, 160]))
+    dims = _widths(params.get("dims", [10, 40, 160]), "k_majority.dims")
     h = float(params.get("h", 0.2))
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
     reports = theory.estimate_rho_star(
         net,
-        trials=int(params.get("trials", 200)),
+        trials=_positive(params.get("trials", 200), "k_majority.trials"),
         rho_grid=params.get("rho_grid", [0.02, 0.05, 0.1]),
         K_mode=params.get("K_mode", "worst_by_magnitude"),
         seed=seed)
@@ -511,10 +522,10 @@ def _safe_slope_case(rng, n, min_piece=4e-4):
 
 
 def _check_norm_bounds(params, seed):
-    n = int(params.get("n", 200))
+    n = _positive(params.get("n", 200), "norm_bounds.n")
     alpha = float(params.get("alpha", 0.5))
     h = float(params.get("h", 0.5))
-    trials = int(params.get("trials", 2000))
+    trials = _positive(params.get("trials", 2000), "norm_bounds.trials")
     nm = n - int(round(alpha * n))
     rng = substream(seed, ())
     mat = rng.standard_normal((n, nm))
@@ -585,15 +596,21 @@ _CHECK_PARAMS = {
     "l0_roundtrip": ("cases",),
 }
 
-# The count parameters that run_verify checks with `_positive` before any
-# check runs: a count of 0 would report a pass with nothing checked. Each
-# check takes them through `_positive` too.
+# The count and width parameters that run_verify converts, each with the
+# helper given here, before any check runs: a count of 0 would report a pass
+# with nothing checked, or fail deep inside `theory` under no key's name,
+# and int() would truncate 2.5 to 2. Each check converts them with the same
+# helper too.
 _CHECK_COUNTS = {
-    "gaussian_full_rank": ("trials",),
-    "leaky_beta_range": ("trials",),
-    "leaky_layer_lift": ("pairs",),
-    "relu_path_slope": ("n", "cases"),
-    "l0_roundtrip": ("cases",),
+    "gaussian_full_rank": {"trials": _positive},
+    "every_r_rows_full_rank": {"n": _positive, "k": _positive, "mid": _positive,
+                               "outliers": _nonnegative, "r": _positive},
+    "leaky_beta_range": {"trials": _positive},
+    "leaky_layer_lift": {"dims": _widths, "pairs": _positive},
+    "k_majority": {"dims": _widths, "trials": _positive},
+    "relu_path_slope": {"n": _positive, "cases": _positive},
+    "norm_bounds": {"n": _positive, "trials": _positive},
+    "l0_roundtrip": {"cases": _positive},
 }
 
 
@@ -615,9 +632,9 @@ def run_verify(spec: ExperimentSpec) -> dict:
         if name not in _CHECK_RUNNERS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
         _known_keys(entry, f"{name}.", ("name", "required") + _CHECK_PARAMS[name])
-        for key in _CHECK_COUNTS.get(name, ()):
+        for key, convert in _CHECK_COUNTS[name].items():
             if key in entry:
-                _positive(entry[key], f"{name}.{key}")
+                convert(entry[key], f"{name}.{key}")
     reports = []
     check_ms = []
     for ci, entry in enumerate(checks):

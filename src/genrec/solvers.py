@@ -272,6 +272,15 @@ _REGION_MODEL_MIN_MACS = 200_000
 # recover-linear solve (10.3 -> 28.7 ms, one BLAS thread).
 _LINE_SEARCH_PASS_MACS = 200_000
 
+# No descent objective falls below this: `value` returns ||r||_1^2, ||r||_2^2
+# or ||r||_2^2 + lambda ||z||_2^2 with lambda >= 0, or NaN. A backtracking
+# pass whose Armijo bounds all lie below it can pass no trial step, so
+# `_descend` counts its trials as failed without evaluating them. -inf
+# evaluates every pass. At paper scale the first iteration's gradient norm
+# (|g|^2 near 1e25 against f near 1e13) puts 28 of its ~40 trial steps,
+# each its own layered pass, below the floor.
+_OBJECTIVE_FLOOR = 0.0
+
 # solve_trials solves its trials in consecutive chunks whose per-row problem
 # copies (trials x restarts x m x n doubles: the solvers keep one M per row)
 # stay within this many doubles, and at least one trial per chunk.
@@ -541,13 +550,17 @@ class _Block:
         else:   # keep_best updates its own copies in place
             self.s.eps_m, self.s.z_hat = (eps_m.copy(), z.copy()) if self.keep_best else (eps_m, z)
 
-    def diverge(self, *checked, error: str) -> None:
-        """`stop`, as diverged with `error`, the running rows with a
-        non-finite entry in an array of `checked`."""
-        if all(np.isfinite(a).all() for a in checked):
+    def diverge(self, *checked, error: str, at: int | None = None) -> None:
+        """`stop`, as diverged with `error` (followed by " at iteration `at`"
+        when `at` is given), the running rows with a non-finite entry in an
+        array of `checked`. The message is formatted only when one does."""
+        for a in checked:
+            if not np.isfinite(a).all():
+                break
+        else:
             return
         finite = np.logical_and.reduce([_finite(a.reshape(len(a), -1)) for a in checked])
-        self.stop(~finite, error=error)
+        self.stop(~finite, error=error if at is None else f"{error} at iteration {at}")
 
     def stop(self, mask, *, converged=False, error=None) -> None:
         """Stop the running rows where `mask` holds, as converged or as
@@ -694,7 +707,7 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         # point of linearization.
         rhs = s.w - s.u + (s.b if s.b is not None else s.y - (s.mgz - matvec(s.a, s.z)))
         s.z_new = matvec(s.a_pinv, rhs)
-        blk.diverge(s.z_new, error=f"non-finite z iterate at iteration {q}")
+        blk.diverge(s.z_new, error="non-finite z iterate", at=q)
         if not s.rows.size:
             break
         if linear:
@@ -712,7 +725,7 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
         u = w_input - s.w
         s.r, s.u = u - s.u, u
         # The old u was finite, so the new one is finite only where d and w are too.
-        blk.diverge(s.u, error=f"non-finite w/lambda at iteration {q}")
+        blk.diverge(s.u, error="non-finite w/lambda", at=q)
         if not s.rows.size:
             break
 
@@ -776,7 +789,11 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
     trial steps t, t s, t s^2, ... (s = armijo_shrink) of every row still
     without a step, within `_LINE_SEARCH_PASS_MACS` multiply-adds, and each
     row takes its first step that passes the Armijo test: the bytes of
-    trying one step at a time, as `value` treats each row on its own.
+    trying one step at a time, as `value` treats each row on its own. A
+    pass whose Armijo bounds f - c t |g|^2 all lie below `_OBJECTIVE_FLOOR`,
+    which no objective goes under, is not evaluated: its trial steps count
+    as tried and failed, as they would after evaluation. A row's bound grows
+    as its step shrinks, so its last step's bound decides.
     """
     blk = _Block(z, keep_best=False)
     s = blk.s
@@ -823,12 +840,16 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
             steps = np.empty((todo.size, width))
             steps[:, 0], steps[:, 1:] = t, cfg.armijo_shrink
             np.multiply.accumulate(steps, axis=1, out=steps)
+            armijo = s.f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
+            tried += width
+            if (armijo[:, -1] < _OBJECTIVE_FLOOR).all():   # no step can pass
+                t = steps[:, -1] * cfg.armijo_shrink
+                continue
             z_try = (s.z[sel, None] - steps[..., None] * s.g[sel, None]).reshape(-1, s.z.shape[1])
             if model:
                 f_try, r_try, pres, inside = _region_values(s, value, sel, z_try, width)
             else:
                 f_try, r_try, pres = value(z_try, *_problem_rows(s, sel))
-            armijo = s.f[sel, None] - cfg.armijo_c * steps * gg[sel, None]
             # The bound is at most f, which is finite, so a NaN or inf f_try fails it.
             ok = (f_try <= armijo.ravel()).reshape(steps.shape)
             hit = ok.any(axis=1)
@@ -843,14 +864,13 @@ def _descend(net: GeneratorNetwork, y, cfg: SolverConfig, z,
                 p_new[done] = p[pick]
             if model:
                 s.inside[done] = inside[pick]
-            tried += width
         if todo.size:   # rows whose trial steps all failed: stalled
             blk.stop(np.isin(np.arange(len(s.z)), todo))
         if model and s.inside.any():
             s.g_new = _region_grad(s, grad)
         else:
             s.g_new = grad(s.z_new, s.r_new, s.pres_new, *_problem_rows(s, slice(None)))
-        blk.diverge(s.z_new, s.g_new, error=f"non-finite iterate at iteration {q}")
+        blk.diverge(s.z_new, s.g_new, error="non-finite iterate", at=q)
 
         step = s.z_new - s.z
         ss, sy = row_dot(step, step), row_dot(step, s.g_new - s.g)

@@ -495,9 +495,9 @@ class TestNegativeSeeds:
 
 
 class TestVerifyCheckEntries:
-    """An unknown key in a verify check entry, or a check count that is not
-    an integer >= 1, is rejected before any check runs; a malformed
-    gaussian_full_rank parameter is rejected by name."""
+    """An unknown key in a verify check entry, or a check count or layer
+    width that is not an integer in range, is rejected before any check
+    runs; a malformed gaussian_full_rank parameter is rejected by name."""
 
     @staticmethod
     def _verify(*checks):
@@ -531,20 +531,50 @@ class TestVerifyCheckEntries:
                                                    name, key, bad):
         message = (f"must be an integer >= 1, got {bad}" if isinstance(bad, int)
                    else f"must be an integer, got {bad}")
+        self._rejected_before_any_check_runs(monkeypatch, tmp_path, capsys, name, key, bad,
+                                             f"{key} {message}")
+
+    @pytest.mark.parametrize("name, key, bad, message", [
+        ("k_majority", "trials", 0, "trials must be an integer >= 1, got 0"),
+        ("norm_bounds", "trials", 2.5, "trials must be an integer, got 2.5"),
+        ("norm_bounds", "trials", 0, "trials must be an integer >= 1, got 0"),
+        ("norm_bounds", "n", 0, "n must be an integer >= 1, got 0"),
+        ("every_r_rows_full_rank", "n", 12.5, "n must be an integer, got 12.5"),
+        ("every_r_rows_full_rank", "k", 0, "k must be an integer >= 1, got 0"),
+        ("every_r_rows_full_rank", "mid", 0, "mid must be an integer >= 1, got 0"),
+        ("every_r_rows_full_rank", "r", -1, "r must be an integer >= 1, got -1"),
+        ("every_r_rows_full_rank", "outliers", -1,
+         "outliers must be a non-negative integer, got -1"),
+        ("every_r_rows_full_rank", "outliers", 1.5, "outliers must be an integer, got 1.5"),
+        ("leaky_layer_lift", "dims", [6], "dims must be a list of at least two integers, "
+                                          "got [6]"),
+        ("leaky_layer_lift", "dims", [6, 0, 48], "dims[1] must be an integer >= 1, got 0"),
+        ("k_majority", "dims", 10, "dims must be a list of at least two integers, got 10"),
+        ("k_majority", "dims", [10, 40.5], "dims[1] must be an integer, got 40.5")])
+    def test_more_counts_rejected_before_any_check_runs(self, monkeypatch, tmp_path, capsys,
+                                                        name, key, bad, message):
+        self._rejected_before_any_check_runs(monkeypatch, tmp_path, capsys, name, key, bad,
+                                             message)
+
+    def _rejected_before_any_check_runs(self, monkeypatch, tmp_path, capsys, name, key, bad,
+                                        message):
+        """`{name: bad}` in a verify check entry fails with `name.message`
+        through the library and the CLI before any check runs, and the check
+        itself, given its default entry, rejects it too."""
         ran, runners = [], dict(harness._CHECK_RUNNERS)
         for check in runners:   # no check may run
             monkeypatch.setitem(harness._CHECK_RUNNERS, check,
                                 lambda params, seed: ran.append(params) or [])
         config = self._verify({"name": "l0_roundtrip", "cases": 1}, {"name": name, key: bad})
-        with pytest.raises(ValueError, match=rf"^{name}\.{key} {re.escape(message)}$"):
+        with pytest.raises(ValueError, match=rf"^{name}\.{re.escape(message)}$"):
             run_verify(ExperimentSpec.from_dict(config))
-        # The check itself rejects the count too, when called on its own.
-        with pytest.raises(ValueError, match=rf"^{name}\.{key} {re.escape(message)}$"):
-            runners[name]({key: bad}, 5)
+        [entry] = [e for e in default_checks() if e["name"] == name]
+        with pytest.raises(ValueError, match=rf"^{name}\.{re.escape(message)}$"):
+            runners[name](dict(entry, **{key: bad}), 5)
         path = tmp_path / "verify.json"
         path.write_text(json.dumps(config))
         assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-        assert f"{name}.{key} {message}" in one_error_line(capsys)
+        assert f"{name}.{message}" in one_error_line(capsys)
         assert ran == [] and not (tmp_path / "run").exists()
 
     def test_unknown_key_named_before_any_check_runs(self, tmp_path, capsys):
