@@ -33,21 +33,35 @@ def as_rows(x, size: int, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for each row of x (and each matrix of a stacked a).
-
-    Stacked mat-vecs make one BLAS gemv per row, so every row rounds exactly
-    as the single-vector product `a @ x` does; the row-wise gemm `x @ a.T`
-    differs in the last bits.
-    """
+def _stacked_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for each row of x (and each matrix of a stacked a), as a stacked
+    matmul: one BLAS gemv per row, as `np.matvec` makes."""
     return (a @ x[..., None])[..., 0]
 
 
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a with the same row of b, (b, n) blocks.
-    Each goes through a stacked 1 x 1 product, so it rounds as the 1-D
-    `a @ b` (and its square root as np.linalg.norm) does."""
+def _stacked_row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, (b, n)
+    blocks, as a stacked 1 x 1 matmul: one BLAS ddot per row, as
+    `np.vecdot` makes."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+# The row kernels, picked once by feature: numpy's gufuncs where it has them
+# (np.matvec from numpy 2.2, np.vecdot from 2.0), else the stacked matmuls
+# above. A gufunc is one dispatch where the stacked matmul builds two views
+# around its product, and the names are bound to it directly, without a
+# Python frame around it. Both implementations make the same BLAS call per
+# row, so they give equal bytes, and the contract holds for either:
+#
+# matvec(a, x): a @ x for each row of x (and each matrix of a stacked a).
+#     Every row rounds exactly as the single-vector product `a @ x` does,
+#     whatever the block size; the row-wise gemm `x @ a.T` differs in the
+#     last bits, and its rows change bytes with the number of rows.
+# row_dot(a, b): the dot product of each row of a with the same row of b,
+#     (b, n) blocks. Each row rounds as the 1-D `a @ b` (and its square root
+#     as np.linalg.norm) does.
+matvec = getattr(np, "matvec", _stacked_matvec)
+row_dot = getattr(np, "vecdot", _stacked_row_dot)
 
 
 def default_zero_tol(y) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from ._common import child_seeds, row_chunks, substream, substreams
+from ._common import as_matrix, child_seeds, row_chunks, substream, substreams
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
@@ -149,6 +149,46 @@ def _widths(value, key: str) -> list[int]:
     if not isinstance(value, (list, tuple)) or len(value) < 2:
         raise ValueError(f"{key} must be a list of at least two integers, got {value!r}")
     return [_positive(w, f"{key}[{i}]") for i, w in enumerate(value)]
+
+
+def _real(value, key: str) -> float:
+    """`value` as a float. Bools and non-numbers raise a ValueError naming
+    `key`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _slope(value, key: str) -> float:
+    """`value` as a float in (0, 1], as `_real` takes it: a leaky-ReLU slope."""
+    h = _real(value, key)
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"{key} must lie in (0, 1], got {h}")
+    return h
+
+
+def _rho_grid(value, key: str) -> list[float]:
+    """`value` as a nonempty list of outlier fractions, each a float in
+    (0, 1) as `_real` takes it."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{key} must be a nonempty list, got {value!r}")
+    grid = [_real(rho, f"{key}[{i}]") for i, rho in enumerate(value)]
+    for i, rho in enumerate(grid):
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"{key}[{i}] must lie in (0, 1), got {rho}")
+    return grid
+
+
+def _shapes(value, key: str) -> list[tuple[int, int]]:
+    """`value` as a nonempty list of [rows, columns] pairs, each entry as
+    `_positive` takes it."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{key} must be a nonempty list, got {value!r}")
+    for si, shape in enumerate(value):
+        if not isinstance(shape, (list, tuple)) or len(shape) != 2:
+            raise ValueError(f"{key}[{si}] must be a [rows, columns] pair, got {shape!r}")
+    return [tuple(_positive(d, f"{key}[{si}][{j}]") for j, d in enumerate(shape))
+            for si, shape in enumerate(value)]
 
 
 def build_net(net_spec: dict) -> GeneratorNetwork:
@@ -366,17 +406,93 @@ def _extreme_singular_values(a: np.ndarray) -> tuple[float, float]:
     return float(sv[0]), float(sv[-1])
 
 
+# Each check's parameters, converted and checked, with their defaults: run
+# by run_verify for every entry before any check runs, and by the check
+# itself. A bad value would otherwise fail only when its check runs, after
+# every earlier check, often deep inside `theory` under no key's name; a
+# count of 0 or a tolerance <= 0 would run and report nothing useful.
+
+def _gaussian_full_rank_params(params):
+    return (_positive(params.get("trials", 20), "gaussian_full_rank.trials"),
+            _shapes(params.get("shapes", [[12, 7]]), "gaussian_full_rank.shapes"))
+
+
+def _every_r_rows_params(params):
+    """(matrix or None, n, k, mid, outliers, r), r given or n - (2l + 1)."""
+    key = "every_r_rows_full_rank."
+    got = {name: convert(params[name], key + name) for name, convert in
+           (("n", _positive), ("k", _positive), ("mid", _positive),
+            ("outliers", _nonnegative), ("r", _positive)) if name in params}
+    if "matrix" in params:
+        w = as_matrix(params["matrix"], name=key + "matrix")
+        n, k = w.shape
+    elif "n" in got and "k" in got:
+        w, n, k = None, got["n"], got["k"]
+    else:
+        raise ValueError(f"{key}n and {key}k are required without {key}matrix")
+    l = got.get("outliers", 2)
+    r = got.get("r", n - (2 * l + 1))
+    if not k <= r <= n:
+        how = "" if "r" in got else f" (n - (2 * outliers + 1) with outliers = {l})"
+        raise ValueError(f"{key}r must lie in [k, n] = [{k}, {n}], got {r}{how}")
+    return w, n, k, got.get("mid", k), l, r
+
+
+def _leaky_beta_range_params(params):
+    return _positive(params.get("trials", 10_000), "leaky_beta_range.trials")
+
+
+def _leaky_layer_lift_params(params):
+    return (_widths(params.get("dims", [6, 24, 48]), "leaky_layer_lift.dims"),
+            _slope(params.get("h", 0.2), "leaky_layer_lift.h"),
+            _positive(params.get("pairs", 50), "leaky_layer_lift.pairs"))
+
+
+def _k_majority_params(params):
+    """(dims, h, trials, rho_grid, K_mode, require_max_rho)."""
+    key = "k_majority."
+    k_mode = params.get("K_mode", "worst_by_magnitude")
+    if k_mode not in theory.K_MODES:
+        raise ValueError(f"{key}K_mode must be one of {list(theory.K_MODES)}, got {k_mode!r}")
+    require_max = _real(params.get("require_max_rho", 0.0), key + "require_max_rho")
+    if not math.isfinite(require_max):
+        raise ValueError(f"{key}require_max_rho must be finite, got {require_max}")
+    return (_widths(params.get("dims", [10, 40, 160]), key + "dims"),
+            _slope(params.get("h", 0.2), key + "h"),
+            _positive(params.get("trials", 200), key + "trials"),
+            _rho_grid(params.get("rho_grid", [0.02, 0.05, 0.1]), key + "rho_grid"),
+            k_mode, require_max)
+
+
+def _relu_path_slope_params(params):
+    tol = _real(params.get("tol", 1e-9), "relu_path_slope.tol")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"relu_path_slope.tol must be a finite number > 0, got {tol}")
+    return (_positive(params.get("n", 50), "relu_path_slope.n"),
+            _positive(params.get("cases", 200), "relu_path_slope.cases"), tol)
+
+
+def _norm_bounds_params(params):
+    """(n, n - m columns, h, trials, rho_grid or None), m = round(alpha n)."""
+    key = "norm_bounds."
+    n = _positive(params.get("n", 200), key + "n")
+    alpha = _real(params.get("alpha", 0.5), key + "alpha")
+    columns = n - round(alpha * n) if math.isfinite(alpha) else 0
+    if not 1 <= columns < n:
+        raise ValueError(f"{key}alpha must give 1 <= n - round(alpha * n) < n, "
+                         f"got alpha = {alpha} with n = {n}")
+    rho_grid = params.get("rho_grid")
+    return (n, columns, _slope(params.get("h", 0.5), key + "h"),
+            _positive(params.get("trials", 2000), key + "trials"),
+            None if rho_grid is None else _rho_grid(rho_grid, key + "rho_grid"))
+
+
+def _l0_roundtrip_params(params):
+    return _positive(params.get("cases", 12), "l0_roundtrip.cases")
+
+
 def _check_gaussian_full_rank(params, seed):
-    trials = _positive(params.get("trials", 20), "gaussian_full_rank.trials")
-    shapes = params.get("shapes", [[12, 7]])
-    if not isinstance(shapes, (list, tuple)) or not shapes:
-        raise ValueError(f"gaussian_full_rank.shapes must be a nonempty list, got {shapes!r}")
-    for si, shape in enumerate(shapes):
-        if not isinstance(shape, (list, tuple)) or len(shape) != 2:
-            raise ValueError(f"gaussian_full_rank.shapes[{si}] must be a [rows, columns] "
-                             f"pair, got {shape!r}")
-    shapes = [tuple(_positive(d, f"gaussian_full_rank.shapes[{si}][{j}]")
-                    for j, d in enumerate(shape)) for si, shape in enumerate(shapes)]
+    trials, shapes = _gaussian_full_rank_params(params)
     failures = 0
     total = 0
     min_margin = math.inf
@@ -397,25 +513,17 @@ def _check_gaussian_full_rank(params, seed):
 
 
 def _check_every_r_rows(params, seed):
-    if "matrix" in params:
-        w = np.asarray(params["matrix"], dtype=np.float64)
-        n, k = w.shape
-    else:
-        n = _positive(params["n"], "every_r_rows_full_rank.n")
-        k = _positive(params["k"], "every_r_rows_full_rank.k")
-        mid = _positive(params.get("mid", k), "every_r_rows_full_rank.mid")
+    w, n, k, mid, l, r = _every_r_rows_params(params)
+    if w is None:
         rng = substream(seed, ())
         w = rng.standard_normal((n, mid)) @ rng.standard_normal((mid, k))
-    l = _nonnegative(params.get("outliers", 2), "every_r_rows_full_rank.outliers")
-    r = (_positive(params["r"], "every_r_rows_full_rank.r") if "r" in params
-         else n - (2 * l + 1))
     report = theory.every_r_rows_full_rank(w, r)
     report.params.update({"outliers": l, "seed": seed})
     return [(report, True)]
 
 
 def _check_leaky_beta_range(params, seed):
-    trials = _positive(params.get("trials", 10_000), "leaky_beta_range.trials")
+    trials = _leaky_beta_range_params(params)
     rng = substream(seed, ())
     failures = 0
     min_margin = math.inf
@@ -439,9 +547,7 @@ def _check_leaky_beta_range(params, seed):
 
 
 def _check_leaky_layer_lift(params, seed):
-    dims = _widths(params.get("dims", [6, 24, 48]), "leaky_layer_lift.dims")
-    h = float(params.get("h", 0.2))
-    pairs = _positive(params.get("pairs", 50), "leaky_layer_lift.pairs")
+    dims, h, pairs = _leaky_layer_lift_params(params)
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
     failures = 0
     min_margin = math.inf
@@ -462,16 +568,10 @@ def _check_leaky_layer_lift(params, seed):
 
 
 def _check_k_majority(params, seed):
-    dims = _widths(params.get("dims", [10, 40, 160]), "k_majority.dims")
-    h = float(params.get("h", 0.2))
+    dims, h, trials, rho_grid, k_mode, require_max = _k_majority_params(params)
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
-    reports = theory.estimate_rho_star(
-        net,
-        trials=_positive(params.get("trials", 200), "k_majority.trials"),
-        rho_grid=params.get("rho_grid", [0.02, 0.05, 0.1]),
-        K_mode=params.get("K_mode", "worst_by_magnitude"),
-        seed=seed)
-    require_max = float(params.get("require_max_rho", 0.0))
+    reports = theory.estimate_rho_star(net, trials=trials, rho_grid=rho_grid, K_mode=k_mode,
+                                       seed=seed)
     out = []
     for rep in reports:
         rep.params["rho_star_hat"] = theory.rho_star_from_reports(reports)
@@ -481,9 +581,7 @@ def _check_k_majority(params, seed):
 
 
 def _check_relu_path_slope(params, seed):
-    n = _positive(params.get("n", 50), "relu_path_slope.n")
-    cases = _positive(params.get("cases", 200), "relu_path_slope.cases")
-    tol = float(params.get("tol", 1e-9))
+    n, cases, tol = _relu_path_slope_params(params)
     failures = 0
     worst = 0.0
     # Kept as a loop: _safe_slope_case rejects and redraws from the case's
@@ -522,21 +620,16 @@ def _safe_slope_case(rng, n, min_piece=4e-4):
 
 
 def _check_norm_bounds(params, seed):
-    n = _positive(params.get("n", 200), "norm_bounds.n")
-    alpha = float(params.get("alpha", 0.5))
-    h = float(params.get("h", 0.5))
-    trials = _positive(params.get("trials", 2000), "norm_bounds.trials")
-    nm = n - int(round(alpha * n))
+    n, nm, h, trials, rho_grid = _norm_bounds_params(params)
     rng = substream(seed, ())
     mat = rng.standard_normal((n, nm))
-    report = theory.norm_bounds_check(mat, trials, h,
-                                      rho_grid=params.get("rho_grid"), seed=seed)
+    report = theory.norm_bounds_check(mat, trials, h, rho_grid=rho_grid, seed=seed)
     report.params["seed"] = seed
     return [(report, True)]
 
 
 def _check_l0_roundtrip(params, seed):
-    cases = _positive(params.get("cases", 12), "l0_roundtrip.cases")
+    cases = _l0_roundtrip_params(params)
     discrepancies = 0
     details = []
     for t, rng in enumerate(substreams(seed, [(t,) for t in range(cases)])):
@@ -596,21 +689,16 @@ _CHECK_PARAMS = {
     "l0_roundtrip": ("cases",),
 }
 
-# The count and width parameters that run_verify converts, each with the
-# helper given here, before any check runs: a count of 0 would report a pass
-# with nothing checked, or fail deep inside `theory` under no key's name,
-# and int() would truncate 2.5 to 2. Each check converts them with the same
-# helper too.
-_CHECK_COUNTS = {
-    "gaussian_full_rank": {"trials": _positive},
-    "every_r_rows_full_rank": {"n": _positive, "k": _positive, "mid": _positive,
-                               "outliers": _nonnegative, "r": _positive},
-    "leaky_beta_range": {"trials": _positive},
-    "leaky_layer_lift": {"dims": _widths, "pairs": _positive},
-    "k_majority": {"dims": _widths, "trials": _positive},
-    "relu_path_slope": {"n": _positive, "cases": _positive},
-    "norm_bounds": {"n": _positive, "trials": _positive},
-    "l0_roundtrip": {"cases": _positive},
+# Each check's parameter parser (see `_gaussian_full_rank_params`).
+_CHECK_PARSERS = {
+    "gaussian_full_rank": _gaussian_full_rank_params,
+    "every_r_rows_full_rank": _every_r_rows_params,
+    "leaky_beta_range": _leaky_beta_range_params,
+    "leaky_layer_lift": _leaky_layer_lift_params,
+    "k_majority": _k_majority_params,
+    "relu_path_slope": _relu_path_slope_params,
+    "norm_bounds": _norm_bounds_params,
+    "l0_roundtrip": _l0_roundtrip_params,
 }
 
 
@@ -632,9 +720,7 @@ def run_verify(spec: ExperimentSpec) -> dict:
         if name not in _CHECK_RUNNERS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
         _known_keys(entry, f"{name}.", ("name", "required") + _CHECK_PARAMS[name])
-        for key, convert in _CHECK_COUNTS[name].items():
-            if key in entry:
-                convert(entry[key], f"{name}.{key}")
+        _CHECK_PARSERS[name](entry)
     reports = []
     check_ms = []
     for ci, entry in enumerate(checks):

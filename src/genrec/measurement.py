@@ -144,6 +144,11 @@ class ProblemInstance:
             raise ValueError("instance field shapes are inconsistent")
         if self.e.shape != (m,) or self.eta.shape != (m,):
             raise ValueError("instance field shapes are inconsistent")
+        # Rejected here, where the data enters: a solver would start from a
+        # non-finite objective and report it as its own divergence.
+        for name in ("z0", "x0", "M", "e", "eta", "y"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"instance field {name} has non-finite entries")
         if int(np.count_nonzero(self.e)) != self.outlier_count:
             raise ValueError("outlier vector support does not match outlier_count")
         for arr in (self.z0, self.x0, self.M, self.e, self.eta, self.y):

@@ -125,9 +125,9 @@ class Metrics(NamedTuple):
 def soft_threshold(v, tau: float) -> np.ndarray:
     """Element-wise shrink toward zero by tau (proximal operator of |.|_1):
     v - clip(v, -tau, tau), that is 0 where |v| <= tau and v - sign(v) tau
-    elsewhere."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    elsewhere. tau must be > 0; NaN is rejected too."""
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     v = np.asarray(v, dtype=np.float64)
     # Two ufuncs, not np.clip, whose Python wrapper costs more than the work here.
     return v - np.minimum(np.maximum(v, -tau), tau)

@@ -258,6 +258,10 @@ def worst_support(delta, size: int) -> np.ndarray:
     return order[..., :size]
 
 
+# How estimate_rho_star picks the index set K of each trial.
+K_MODES = ("random", "worst_by_magnitude")
+
+
 def estimate_rho_star(net: GeneratorNetwork, trials: int, rho_grid,
                       K_mode: str = "worst_by_magnitude",
                       seed: int = 0) -> list[ConditionReport]:
@@ -268,7 +272,7 @@ def estimate_rho_star(net: GeneratorNetwork, trials: int, rho_grid,
     random or the adversarial largest-|delta| set. The largest grid rho with
     zero failures is the empirical correctable fraction.
     """
-    if K_mode not in ("random", "worst_by_magnitude"):
+    if K_mode not in K_MODES:
         raise ValueError(f"unknown K_mode {K_mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -1,6 +1,7 @@
 """Bad input is rejected where it enters: a ValueError from the library, one
 `genrec: error:` line and exit status 2 from the CLI."""
 
+import dataclasses
 import json
 import math
 import re
@@ -199,6 +200,25 @@ class TestMalformedNetAndInstanceFiles:
         net_path.write_text(json.dumps(d))
         self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path,
                        "activation is missing the required key 'kind'")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["z0", "x0", "M", "e", "eta", "y"])
+    def test_instance_with_non_finite_entries(self, files, tmp_path, capsys, key, bad):
+        """Named where it enters: a solve would otherwise start from a
+        non-finite objective and report the input as a solver divergence."""
+        net_path, inst_path = files
+        inst = load_instance(inst_path)
+        field = getattr(inst, key).copy()
+        field.flat[-1] = bad
+        with pytest.raises(ValueError, match=rf"^instance field {key} has non-finite entries$"):
+            dataclasses.replace(inst, **{key: field})
+        d = json.loads(inst_path.read_text())
+        (d[key][-1] if key == "M" else d[key])[-1] = bad
+        inst_path.write_text(json.dumps(d))
+        message = f"instance field {key} has non-finite entries"
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{inst_path}: {message}')}$"):
+            load_instance(inst_path)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), inst_path, message)
 
     @pytest.mark.parametrize("key", ["net_ref", "z0", "x0", "M", "e", "eta", "y", "seed",
                                      "meta", "meta.l", "meta.noise_target",
@@ -556,21 +576,67 @@ class TestVerifyCheckEntries:
         self._rejected_before_any_check_runs(monkeypatch, tmp_path, capsys, name, key, bad,
                                              message)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("gaussian_full_rank", {"shapes": [[0, 5]]},
+         "shapes[0][0] must be an integer >= 1, got 0"),
+        ("norm_bounds", {"h": 0.0}, "h must lie in (0, 1], got 0.0"),
+        ("norm_bounds", {"h": 1.5}, "h must lie in (0, 1], got 1.5"),
+        ("norm_bounds", {"h": "0.5"}, "h must be a number, got '0.5'"),
+        ("leaky_layer_lift", {"h": 0}, "h must lie in (0, 1], got 0.0"),
+        ("k_majority", {"h": math.nan}, "h must lie in (0, 1], got nan"),
+        ("norm_bounds", {"alpha": 1.5},
+         "alpha must give 1 <= n - round(alpha * n) < n, got alpha = 1.5 with n = 200"),
+        ("norm_bounds", {"alpha": 0.0},
+         "alpha must give 1 <= n - round(alpha * n) < n, got alpha = 0.0 with n = 200"),
+        ("norm_bounds", {"alpha": math.inf, "n": 20},
+         "alpha must give 1 <= n - round(alpha * n) < n, got alpha = inf with n = 20"),
+        ("relu_path_slope", {"tol": -1.0}, "tol must be a finite number > 0, got -1.0"),
+        ("relu_path_slope", {"tol": 0}, "tol must be a finite number > 0, got 0.0"),
+        ("relu_path_slope", {"tol": math.inf}, "tol must be a finite number > 0, got inf"),
+        ("k_majority", {"rho_grid": [2.0]}, "rho_grid[0] must lie in (0, 1), got 2.0"),
+        ("k_majority", {"rho_grid": []}, "rho_grid must be a nonempty list, got []"),
+        ("k_majority", {"rho_grid": [0.1, True]}, "rho_grid[1] must be a number, got True"),
+        ("norm_bounds", {"rho_grid": [0.1, 0.0]}, "rho_grid[1] must lie in (0, 1), got 0.0"),
+        ("k_majority", {"K_mode": "best"},
+         "K_mode must be one of ['random', 'worst_by_magnitude'], got 'best'"),
+        ("k_majority", {"require_max_rho": math.inf}, "require_max_rho must be finite, got inf"),
+        ("k_majority", {"require_max_rho": None}, "require_max_rho must be a number, got None"),
+        ("every_r_rows_full_rank", {"n": 3, "k": 1, "outliers": 2},
+         "r must lie in [k, n] = [1, 3], got -2 (n - (2 * outliers + 1) with outliers = 2)"),
+        ("every_r_rows_full_rank", {"n": 12, "k": 3, "r": 2},
+         "r must lie in [k, n] = [3, 12], got 2"),
+        ("every_r_rows_full_rank", {"n": 12, "k": 3, "r": 13},
+         "r must lie in [k, n] = [3, 12], got 13"),
+        ("every_r_rows_full_rank", {"matrix": [1.0, 2.0]}, "matrix must be 2-D, got shape (2,)")])
+    def test_parameters_rejected_before_any_check_runs(self, monkeypatch, tmp_path, capsys,
+                                                       name, params, message):
+        self._rejected_before_any_check_runs(monkeypatch, tmp_path, capsys, name, params, None,
+                                             message)
+
+    def test_every_r_rows_needs_n_and_k_or_a_matrix(self):
+        config = self._verify({"name": "every_r_rows_full_rank", "k": 3})
+        with pytest.raises(ValueError, match=r"^every_r_rows_full_rank\.n and "
+                                             r"every_r_rows_full_rank\.k are required without "
+                                             r"every_r_rows_full_rank\.matrix$"):
+            run_verify(ExperimentSpec.from_dict(config))
+
     def _rejected_before_any_check_runs(self, monkeypatch, tmp_path, capsys, name, key, bad,
                                         message):
-        """`{name: bad}` in a verify check entry fails with `name.message`
-        through the library and the CLI before any check runs, and the check
-        itself, given its default entry, rejects it too."""
+        """`{key: bad}` (or the dict `key` of several keys, with bad None)
+        in a verify check entry fails with `name.message` through the
+        library and the CLI before any check runs, and the check itself,
+        given its default entry, rejects it too."""
+        params = key if isinstance(key, dict) else {key: bad}
         ran, runners = [], dict(harness._CHECK_RUNNERS)
         for check in runners:   # no check may run
             monkeypatch.setitem(harness._CHECK_RUNNERS, check,
                                 lambda params, seed: ran.append(params) or [])
-        config = self._verify({"name": "l0_roundtrip", "cases": 1}, {"name": name, key: bad})
+        config = self._verify({"name": "l0_roundtrip", "cases": 1}, {"name": name, **params})
         with pytest.raises(ValueError, match=rf"^{name}\.{re.escape(message)}$"):
             run_verify(ExperimentSpec.from_dict(config))
         [entry] = [e for e in default_checks() if e["name"] == name]
         with pytest.raises(ValueError, match=rf"^{name}\.{re.escape(message)}$"):
-            runners[name](dict(entry, **{key: bad}), 5)
+            runners[name](dict(entry, **params), 5)
         path = tmp_path / "verify.json"
         path.write_text(json.dumps(config))
         assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2

@@ -43,9 +43,10 @@ class TestSoftThreshold:
     def test_known_values(self, v, tau, expected):
         assert soft_threshold(np.array([v]), tau)[0] == expected
 
-    def test_requires_positive_tau(self):
-        with pytest.raises(ValueError):
-            soft_threshold(np.zeros(3), 0.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_requires_positive_tau(self, tau):
+        with pytest.raises(ValueError, match="^tau must be > 0"):
+            soft_threshold(np.zeros(3), tau)
 
     @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e3))
     @settings(max_examples=200, deadline=None)
