@@ -84,6 +84,9 @@ def _solver_config(args) -> SolverConfig:
 def _cmd_solve(args) -> int:
     net = load_net(args.net)
     inst = load_instance(args.instance)
+    if inst.z0.shape != (net.k,):
+        raise ValueError(f"{args.instance}: instance field z0 has {len(inst.z0)} entries, "
+                         f"the net's code has k = {net.k}")
     cfg = _solver_config(args)
     try:
         res = multi_restart(net, inst.M, inst.y, cfg)
@@ -147,8 +150,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     results = os.path.join(args.run, "results.csv")
     if not os.path.exists(results):
-        print(f"no results.csv under {args.run}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no results.csv under {args.run}")
     rows = report_long_format(results)
     out = args.out or os.path.join(args.run, "report.csv")
     write_csv(out, ("sweep_value", "trial", "solver", "metric", "value"), rows)

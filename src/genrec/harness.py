@@ -63,6 +63,8 @@ class ExperimentSpec:
         if axis in ("measurements", "outliers"):
             for v in values:
                 _integer(v, "each of sweep.values")
+        else:   # rho_grid: run_verify hands the values to the default k_majority entry
+            _rho_grid(values, "sweep.values")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.trials_per_point < 1:
@@ -748,11 +750,17 @@ def run_verify(spec: ExperimentSpec) -> dict:
 
 def report_long_format(results_csv_path: str):
     """Melt a results.csv into plot-ready long rows
-    (sweep_value, trial, solver, metric, value)."""
+    (sweep_value, trial, solver, metric, value). A header without one of
+    those columns or of the `Metrics` columns is a ValueError naming them."""
     out = []
     with open(results_csv_path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            for metric in ("eps_m", "eps_r", "eps_r_per_pixel"):
+        reader = csv.DictReader(fh)
+        missing = [col for col in ("sweep_value", "trial", "solver") + Metrics._fields
+                   if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{results_csv_path}: results.csv lacks the columns {missing}")
+        for row in reader:
+            for metric in Metrics._fields:
                 out.append({
                     "sweep_value": row["sweep_value"], "trial": row["trial"],
                     "solver": row["solver"], "metric": metric,

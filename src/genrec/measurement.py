@@ -139,6 +139,10 @@ class ProblemInstance:
     component_seeds: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, ndim in (("M", 2), ("z0", 1)):
+            if getattr(self, name).ndim != ndim:
+                raise ValueError(f"instance field {name} must be {ndim}-D, "
+                                 f"got shape {getattr(self, name).shape}")
         m, n = self.M.shape
         if self.x0.shape != (n,) or self.y.shape != (m,):
             raise ValueError("instance field shapes are inconsistent")

@@ -19,8 +19,8 @@ import numpy as np
 
 from ._common import as_matrix, as_rows, as_vector, matvec, row_dot, substreams
 from ._common import default_zero_tol  # noqa: F401  kept importable from here
-from .generator import (IDENTITY, LEAKY_RELU, GeneratorNetwork, compose_linear, forward,
-                        forward_pattern, jacobian, layer_preactivations, pullback, region_maps)
+from .generator import (IDENTITY, LEAKY_RELU, GeneratorNetwork, forward, forward_pattern,
+                        jacobian, layer_preactivations, pullback, region_maps)
 
 ADMM_L1 = "admm-l1"
 GD_L1SQ = "gd-l1sq"
@@ -176,8 +176,9 @@ def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0, compose: bool =
     (T R, m, n) and (T R, m), and z as the (T, R, k) block.
 
     With `compose` (identity nets only), M and y come back composed with the
-    net, G(z) = W z + g everywhere: A = M W and b = y - M g, (m, k) and (m,)
-    or one per row, so that M G(z) - y = A z - b.
+    net's one region, G(z) = J z + g everywhere (`region_maps` of the empty
+    pattern): A = M J and b = y - M g, (m, k) and (m,) or one per row, so
+    that M G(z) - y = A z - b.
     """
     M = np.ascontiguousarray(M, dtype=np.float64)
     if M.ndim not in (2, 3):
@@ -199,15 +200,11 @@ def _problem(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0, compose: bool =
             raise ValueError(f"{len(M)} problems need z0 as a ({len(M)}, R, {net.k}) block "
                              f"with R >= 1, got {None if z is None else z.shape}")
     if compose:   # before the repeat: one product per problem
-        M, y = M @ compose_linear(net), y - matvec(M, _offset(net))
+        maps = region_maps(net, np.zeros(0, dtype=bool))
+        M, y = M @ maps.J, y - matvec(M, maps.g)
     if M.ndim == 2:
         return M, y, z
     return np.repeat(M, z.shape[1], axis=0), np.repeat(y, z.shape[1], axis=0), z
-
-
-def _offset(net: GeneratorNetwork) -> np.ndarray:
-    """G(0): an identity net's G(z) = J z + G(0) at every z."""
-    return forward(net, np.zeros(net.k))
 
 
 def _rows(M: np.ndarray, rows) -> np.ndarray:
@@ -244,8 +241,6 @@ def _stale(cached: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Rows whose activation pattern differs from the one their cached
     M J and its pseudo-inverse were built for. J depends on z only through
     the pattern, so the other rows reuse theirs unchanged."""
-    if not pattern.shape[1]:   # identity nets have no pattern
-        return np.zeros(len(pattern), dtype=bool)
     return (cached != pattern).any(axis=-1)
 
 
@@ -454,18 +449,22 @@ def _leaves(z, pat, region) -> tuple[np.ndarray, np.ndarray]:
     return pat_new, (pat_new != pat).any(axis=-1)
 
 
-def _evaluate(net: GeneratorNetwork, M, z, pat, a, region,
-              c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M G(z), the activation pattern of each row of z and the rows whose
-    pattern differs from `pat`, through the region model `region` and c: a
-    row that stays in its region (see `_leaves`) takes M G(z) = A z + c.
-    Rows that left it go through the layers."""
+def _evaluate(net: GeneratorNetwork, M, y, z, pat, a, b,
+              region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual M G(z) - y, the activation pattern of each row of z and
+    the rows whose pattern differs from `pat`, through the region model
+    `region`, A and b = y - c: a row that stays in its region (see
+    `_leaves`) takes A z - b. Rows that left it go through the layers. An
+    empty pattern (identity nets) is one region that holds every z: every
+    row takes A z - b, and none left it."""
+    d = matvec(a, z) - b
+    if not pat.shape[1]:
+        return d, pat, np.zeros(len(z), dtype=bool)
     pat_new, left = _leaves(z, pat, region)
-    mgz = matvec(a, z) + c
     if left.any():
         x, pat_new[left] = forward_pattern(net, z[left])
-        mgz[left] = matvec(_rows(M, left), x)
-    return mgz, pat_new, left
+        d[left] = matvec(_rows(M, left), x) - (y if y.ndim == 1 else y[left])
+    return d, pat_new, left
 
 
 class _RowState:
@@ -638,19 +637,19 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     (T, R, k) block and give a list with each problem's result, or its
     SolverDiverged, equal to solving it alone (see `_problem` and `_Block`).
 
-    On an identity net, G(z) = J z + g at every z, so each row also keeps
-    c = M g and b = y - c, and every iterate is evaluated as
-    d = A z - b, with no layer loop. On other nets above a size cut
+    On identity nets, and on other nets above a size cut
     (`_REGION_MODEL_MIN_MACS`; the paper's net passes it, small nets do
-    not), each row also keeps its region's affine maps (`region_maps`), c
-    and b = y - c, and a new iterate whose pre-activations P z + p keep the
-    row's pattern is evaluated as M G(z) = A z + c; rows that leave their
-    region go through the layers. A row whose pattern changes in a few
-    units moves its maps, A and c by the flipped units' rank-r terms and
-    takes its z-operator from a Cholesky factorization of A^T A (see
-    `_relinearize`). Either path differs from layered evaluation in the last
-    bits; above the cut, results also depend on each row's own history of
-    updates and rebuilds, at the level of rounding.
+    not), each row keeps its region's affine maps (`region_maps`: A = M J,
+    c = M g and b = y - c), and a new iterate whose pre-activations P z + p
+    keep the row's pattern is evaluated as d = A z - b (see `_evaluate`);
+    rows that leave their region go through the layers. An identity net is
+    the case of one region, with an empty pattern: G(z) = J z + g at every
+    z, its rows are built once and never leave. A row whose pattern changes
+    in a few units moves its maps, A and c by the flipped units' rank-r
+    terms and takes its z-operator from a Cholesky factorization of A^T A
+    (see `_relinearize`). The region model differs from layered evaluation
+    in the last bits; above the cut, results also depend on each row's own
+    history of updates and rebuilds, at the level of rounding.
 
     `probe`, when given, is called once per iteration with a dict of the
     internal quantities for diagnostics: iteration, A, rhs, z_prev, z_new,
@@ -675,50 +674,40 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
     blk.record(eps_m, _norm(s.mgz - s.w - y), eps_m, s.z)
 
     # Each row's cached A and its z-operator, and on the region model
-    # `region` (see `_relinearize`) and c = M g (() and None below the cut),
-    # are brought to the row's pattern where `stale`. An identity net's
-    # c = M G(0) holds at every z, so below the cut it is set once. Identity
-    # nets and the region model keep b = y - c, refreshed at re-linearisations;
-    # identity nets keep no M G(z). Below the cut the loop calls no helper per
-    # iteration: calling `_evaluate` there made 10-row solves on [5,30,60]
-    # nets 3-9% slower.
+    # `region` (see `_relinearize`), c = M g and b = y - c (() and None
+    # below the cut), are brought to the row's pattern where `stale`. The
+    # region model keeps no M G(z). An identity net is its one-region case:
+    # its rows are built at iteration 1 and `_evaluate` never finds them
+    # stale. Below the cut the loop calls no helper per iteration: calling
+    # `_evaluate` there made 10-row solves on [5,30,60] nets 3-9% slower.
     rows = len(s.z)
-    linear = net.activation.kind == IDENTITY
     s.a, s.a_pinv = np.empty((rows, m, net.k)), np.empty((rows, net.k, m))
     s.region = ()
-    if _uses_region_model(net, m):
+    if net.activation.kind == IDENTITY or _uses_region_model(net, m):
         s.region = _empty_region(rows, s.pat.shape[1], net.k)
-        s.c = np.empty((rows, m))
-    elif linear:
-        s.c = np.broadcast_to(matvec(M, _offset(net)), (rows, m))
-    if linear:
-        s.mgz = None
+        s.c, s.mgz = np.empty((rows, m)), None
     s.stale = np.ones(rows, dtype=bool)
     for q in range(1, cfg.max_iters + 1):
         if s.stale.any():
             if s.region:
                 _relinearize(net, s.M, s.pat, s.stale, s.a, s.a_pinv, s.region, s.c)
+                s.b = s.y - s.c
             else:
                 s.a[s.stale] = _rows(s.M, s.stale) @ jacobian(net, s.z[s.stale])
                 s.a_pinv[s.stale] = pseudo_inverse(s.a[s.stale])
-            if linear or s.region:
-                s.b = s.y - s.c
-        # w - u + (y - c): b = y - c where kept, else c = M G(z) - A z at the
-        # point of linearization.
-        rhs = s.w - s.u + (s.b if s.b is not None else s.y - (s.mgz - matvec(s.a, s.z)))
+        # w - u + (y - c): b = y - c on the region model, else c = M G(z) - A z
+        # at the point of linearization.
+        rhs = s.w - s.u + (s.b if s.region else s.y - (s.mgz - matvec(s.a, s.z)))
         s.z_new = matvec(s.a_pinv, rhs)
         blk.diverge(s.z_new, error="non-finite z iterate", at=q)
         if not s.rows.size:
             break
-        if linear:
-            s.d, s.pat_new = matvec(s.a, s.z_new) - s.b, s.pat
+        if s.region:
+            s.d, s.pat_new, s.stale = _evaluate(net, s.M, s.y, s.z_new, s.pat, s.a, s.b,
+                                                s.region)
         else:
-            if s.region:
-                s.mgz, s.pat_new, s.stale = _evaluate(net, s.M, s.z_new, s.pat, s.a, s.region,
-                                                      s.c)
-            else:
-                x_new, s.pat_new = forward_pattern(net, s.z_new)
-                s.mgz = matvec(s.M, x_new)
+            x_new, s.pat_new = forward_pattern(net, s.z_new)
+            s.mgz = matvec(s.M, x_new)
             s.d = s.mgz - s.y
         w_input = s.d + s.u
         s.w = soft_threshold(w_input, 1.0 / rho)
@@ -738,7 +727,7 @@ def admm_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0=None,
                    "z_new": s.z_new[0], "w_input": w_input[0], "w": s.w[0],
                    "lam": rho * s.u[0], "rho": rho})
 
-        if linear or not s.region:
+        if not s.region:
             s.stale = _stale(s.pat, s.pat_new)
         z_prev, s.z, s.pat = s.z, s.z_new, s.pat_new
         done = primal < tol_primal

@@ -249,6 +249,32 @@ class TestMalformedNetAndInstanceFiles:
             self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), path, message)
             path.write_text(saved)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("M", [1.0] * 8, "instance field M must be 2-D, got shape (8,)"),
+        ("M", [[[1.0] * 8]] * 6, "instance field M must be 2-D, got shape (6, 1, 8)"),
+        ("z0", [[0.5, 0.5, 0.5]], "instance field z0 must be 1-D, got shape (1, 3)")])
+    def test_instance_fields_of_the_wrong_rank(self, files, tmp_path, capsys, key, value,
+                                               message):
+        net_path, inst_path = files
+        inst = load_instance(inst_path)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            dataclasses.replace(inst, **{key: np.asarray(value)})
+        d = json.loads(inst_path.read_text())
+        d[key] = value
+        inst_path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{inst_path}: {message}')}$"):
+            load_instance(inst_path)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), inst_path, message)
+
+    def test_solve_rejects_a_code_of_another_length(self, files, tmp_path, capsys):
+        net_path, inst_path = files
+        d = json.loads(inst_path.read_text())
+        d["z0"] = d["z0"][:2]   # the net's k is 3
+        inst_path.write_text(json.dumps(d))
+        assert load_instance(inst_path).z0.shape == (2,)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), inst_path,
+                       "instance field z0 has 2 entries, the net's code has k = 3")
+
     def test_wrong_types_inside_are_one_error_line(self, files, tmp_path, capsys):
         net_path, inst_path = files
         d = json.loads(net_path.read_text())
@@ -257,6 +283,68 @@ class TestMalformedNetAndInstanceFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(net_path))}: "):
             load_net(net_path)
         self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path, "")
+
+
+class TestReportResults:
+    """`genrec report` reads a run's results.csv: a missing file, or a
+    header without a column the long format takes, is one error line."""
+
+    HEADER = ["sweep_value", "trial", "solver", "eps_m", "eps_r", "eps_r_per_pixel"]
+
+    @pytest.mark.parametrize("missing", [["sweep_value"], ["eps_r"], ["trial", "solver"],
+                                         HEADER])
+    def test_missing_columns_are_named(self, tmp_path, capsys, missing):
+        header = [col for col in self.HEADER if col not in missing]
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(header) + ("\n" + ",".join(["1"] * len(header)) + "\n"
+                                            if header else ""))
+        message = f"{path}: results.csv lacks the columns {missing}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            harness.report_long_format(str(path))
+        assert cli.main(["report", "--run", str(tmp_path)]) == 2
+        assert message in one_error_line(capsys)
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["report", "--run", str(tmp_path)]) == 2
+        assert f"no results.csv under {tmp_path}" in one_error_line(capsys)
+
+    def test_complete_header_melts_each_metric(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(self.HEADER + ["wall_ms"]) + "\n10,0,gd-l2sq,1,2,3,4\n")
+        rows = harness.report_long_format(str(path))
+        assert [(r["metric"], r["value"]) for r in rows] == [
+            ("eps_m", "1"), ("eps_r", "2"), ("eps_r_per_pixel", "3")]
+
+
+class TestRhoGridSweep:
+    """run_verify hands a rho_grid sweep's values to the default k_majority
+    entry; a bad value is named as the sweep's, before any check runs."""
+
+    CONFIG = {"name": "v", "sweep": {"axis": "rho_grid", "values": [0.05, 2.0]},
+              "checks": None}
+
+    def test_bad_value_named_under_the_sweep(self, monkeypatch, tmp_path, capsys):
+        ran = []
+        for check in list(harness._CHECK_RUNNERS):   # no check may run
+            monkeypatch.setitem(harness._CHECK_RUNNERS, check,
+                                lambda params, seed: ran.append(params) or [])
+        message = "sweep.values[1] must lie in (0, 1), got 2.0"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ExperimentSpec.from_dict(self.CONFIG)
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(self.CONFIG))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert message in one_error_line(capsys)
+        assert ran == [] and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.0, 0.1], "sweep.values[0] must lie in (0, 1), got 0.0"),
+        ([0.1, "0.2"], "sweep.values[1] must be a number, got '0.2'")])
+    def test_each_value_is_a_fraction(self, values, message):
+        config = dict(self.CONFIG, sweep={"axis": "rho_grid", "values": values})
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ExperimentSpec.from_dict(config)
 
 
 class TestSolverConfigValues:

@@ -1,5 +1,6 @@
-"""Identity nets are solved on their composed affine map: G(z) = W z + g,
-so M G(z) - y = A z - b with A = M W and b = y - M g, and no solver
+"""Identity nets are solved on their composed affine map, the maps of their
+one activation region (`region_maps` of the empty pattern): G(z) = J z + g,
+so M G(z) - y = A z - b with A = M J and b = y - M g, and no solver
 iteration runs the layer loop. Also the size cap on `solve_trials` blocks
 and the lazy `numpy.random` import."""
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from genrec import generator, solvers
-from genrec.generator import Activation, forward, random_gaussian_net
+from genrec._common import matvec
+from genrec.generator import Activation, compose_linear, forward, random_gaussian_net
 from genrec.measurement import MeasurementModel, build_instance
 from genrec.solvers import SolverConfig, metrics, multi_restart, solve_trials
 
@@ -73,6 +75,41 @@ class TestComposedEvaluation:
                                           rel=self.TOL, abs=0)
 
 
+class TestOneRegion:
+    """An identity net is the region model's case of one region, with an
+    empty activation pattern."""
+
+    @pytest.mark.parametrize("dims", [(5, 30, 60), (3, 8), (4, 6, 9, 12)])
+    @pytest.mark.parametrize("m", [6, 40])
+    def test_composed_problem_equals_the_composed_weights(self, rng, dims, m):
+        net = random_gaussian_net(dims, Activation("identity"), sum(dims) + m)
+        cfg = SolverConfig(method="gd-l1sq")
+        M, y = rng.standard_normal((m, net.n)), rng.standard_normal(m)
+        a, b, _ = solvers._problem(net, M, y, cfg, np.zeros(net.k), compose=True)
+        assert a.tobytes() == (M @ compose_linear(net)).tobytes()
+        assert b.tobytes() == (y - matvec(M, forward(net, np.zeros(net.k)))).tobytes()
+        # T = 3 problems with R = 2 starting points each: one product per problem.
+        M, y = rng.standard_normal((3, m, net.n)), rng.standard_normal((3, m))
+        a, b, _ = solvers._problem(net, M, y, cfg, np.zeros((3, 2, net.k)), compose=True)
+        want_a = np.repeat(M @ compose_linear(net), 2, axis=0)
+        want_b = np.repeat(y - matvec(M, forward(net, np.zeros(net.k))), 2, axis=0)
+        assert (a.tobytes(), b.tobytes()) == (want_a.tobytes(), want_b.tobytes())
+
+    def test_evaluate_on_an_empty_pattern_is_the_composed_residual(self, monkeypatch, rng):
+        net, insts = _instances(trials=1)
+        M, y = insts[0].M, insts[0].y
+        maps = generator.region_maps(net, np.zeros((4, 0), dtype=bool))
+        a, b = M @ maps.J, y - matvec(M, maps.g)
+        z, pat = rng.standard_normal((4, net.k)), np.zeros((4, 0), dtype=bool)
+
+        def no_pattern_test(*args):
+            raise AssertionError("an empty pattern has no region to leave")
+        monkeypatch.setattr(solvers, "_leaves", no_pattern_test)
+        d, pat_new, stale = solvers._evaluate(net, M, y, z, pat, a, b, maps[:2])
+        assert d.tobytes() == (matvec(a, z) - b).tobytes()
+        assert pat_new.shape == (4, 0) and stale.tolist() == [False] * 4
+
+
 class TestNoLayerLoopPerIteration:
     """Counts every pass through a net's layers, wherever it is made."""
 
@@ -107,8 +144,7 @@ class TestNoLayerLoopPerIteration:
             counts.append(len(calls))
             iters.append(max(r.iters_used for r in out))
         assert iters[0] < iters[1]
-        # The starting points, and G(0) and W for the composed problem; the
-        # winners' x_hat.
+        # The starting points' first pass (admm-l1) and the winners' x_hat.
         assert counts[0] == counts[1] <= 6
 
     def test_relu_net_passes_grow_with_iterations(self, monkeypatch):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from genrec import solvers
-from genrec.generator import (Activation, forward, jacobian, random_gaussian_net,
-                              compose_linear, zero_bias)
+from genrec._common import matvec
+from genrec.generator import (Activation, forward, forward_pattern, jacobian,
+                              random_gaussian_net, region_maps, compose_linear, zero_bias)
 from genrec.measurement import MeasurementModel, build_instance
 from genrec.solvers import (SolverConfig, SolverDiverged, admm_l1,
                             gd_squared_l1, gd_squared_l2, metrics,
@@ -355,8 +356,9 @@ class TestMultiRestart:
 
 class TestPatternCache:
     """admm_l1 reuses each row's M J and pseudo-inverse while its activation
-    pattern is unchanged; results must not depend on that. The descent
-    solvers keep no Jacobian."""
+    pattern is unchanged; results must not depend on that. An identity net
+    is one region: its rows are built once. The descent solvers keep no
+    Jacobian."""
 
     @staticmethod
     def _counting(monkeypatch, name):
@@ -379,24 +381,45 @@ class TestPatternCache:
         cfg = SolverConfig(method=method, max_iters=150, restarts=7, seed=40,
                            lambda_reg=0.5 if method == "gd-l2sq-reg" else 0.0)
         jac_rows = self._counting(monkeypatch, "jacobian")
+        maps_rows = self._counting(monkeypatch, "region_maps")
         cached = multi_restart(net, inst.M, inst.y, cfg)
-        rows_cached = sum(jac_rows)
+        rows_cached = sum(jac_rows) + sum(maps_rows)
+        # Every row stale after every iteration: below the cut through
+        # `_stale`; identity nets, one region model, through `_evaluate`.
         monkeypatch.setattr(solvers, "_stale",
                             lambda _, pattern: np.ones(len(pattern), dtype=bool))
+        evaluate = solvers._evaluate
+
+        def all_stale(*args):
+            d, pat, left = evaluate(*args)
+            return d, pat, np.ones_like(left)
+        monkeypatch.setattr(solvers, "_evaluate", all_stale)
         jac_rows.clear()
+        maps_rows.clear()
         plain = multi_restart(net, inst.M, inst.y, cfg)
         assert (cached.restart_index, _fields(cached)) == (plain.restart_index, _fields(plain))
-        assert rows_cached < sum(jac_rows)
+        assert rows_cached < sum(jac_rows) + sum(maps_rows)
 
     @pytest.mark.parametrize("method", ["admm-l1", "gd-l1sq"])
     def test_identity_net_builds_jacobian_once(self, monkeypatch, method):
+        # The net's one J comes from `region_maps` of the empty pattern:
+        # admm-l1 builds each of its 10 rows' maps at iteration 1, gd-l1sq
+        # composes its one problem.
         net, inst = linear_outlier_instance(seed=996)
         jac_rows = self._counting(monkeypatch, "jacobian")
+        maps_shapes = []
+        original = solvers.region_maps
+
+        def counted(net_, pattern):
+            maps_shapes.append(np.shape(pattern))
+            return original(net_, pattern)
+        monkeypatch.setattr(solvers, "region_maps", counted)
         pinv_rows = self._counting(monkeypatch, "pseudo_inverse")
         res = multi_restart(net, inst.M, inst.y,
                             SolverConfig(method=method, max_iters=1000, restarts=10, seed=41))
         assert res.iters_used > 1
-        assert jac_rows == ([10] if method == "admm-l1" else [])
+        assert jac_rows == []
+        assert maps_shapes == ([(10, 0)] if method == "admm-l1" else [(0,)])
         assert pinv_rows == ([10] if method == "admm-l1" else [])
 
 
@@ -522,6 +545,28 @@ class TestRegionModel:
         # Identity nets never leave their region: nothing to update.
         assert 0 < rows_updated <= sum(maps_rows)
         assert (rows_updated < sum(maps_rows)) == (kind != "identity")
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    def test_evaluate_takes_the_model_inside_and_the_layers_outside(self, per_row):
+        net, inst = self._instance("leaky_relu", 0.2)
+        rng = np.random.default_rng(36)
+        built = rng.standard_normal((4, net.k))
+        M, y = inst.M, inst.y
+        if per_row:
+            M = M + 0.1 * rng.standard_normal((4,) + M.shape)
+            y = y + 0.1 * rng.standard_normal((4,) + y.shape)
+        _, pat = forward_pattern(net, built)
+        maps = region_maps(net, pat)
+        a, b = M @ maps.J, y - matvec(M, maps.g)
+        z = built.copy()
+        z[1::2] += 3.0 * rng.standard_normal((2, net.k))   # rows 1 and 3 leave their region
+        d, pat_new, left = solvers._evaluate(net, M, y, z, pat, a, b, maps[:2])
+        assert left.tolist() == [False, True, False, True]
+        assert pat_new.tobytes() == forward_pattern(net, z)[1].tobytes()
+        for i in range(4):
+            mi, yi = (M[i], y[i]) if per_row else (M, y)
+            want = a[i] @ z[i] - b[i] if i % 2 == 0 else mi @ forward(net, z[i]) - yi
+            assert d[i].tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_row_is_dropped(self, model):
