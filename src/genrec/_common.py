@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import operator
@@ -282,3 +283,13 @@ def require_keys(d, keys, what: str) -> dict:
     if missing:
         raise ValueError(f"{what} is missing the required key {missing[0]!r}")
     return d
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write the dicts `rows` as CSV under the header `columns`, floats by repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in (row[c] for c in columns)])

@@ -13,10 +13,10 @@ import os
 import sys
 
 from . import __version__
-from ._common import read_json
+from ._common import read_json, require_keys, write_csv
 from .generator import Activation, load_net, random_gaussian_net, save_net
-from .harness import (ExperimentSpec, report_long_format, run_sweep,
-                      run_verify, write_csv)
+from .harness import (REPORT_COLUMNS, ExperimentSpec, report_long_format, run_sweep,
+                      run_verify)
 from .measurement import (MeasurementModel, build_instance, load_instance,
                           save_instance)
 from .solvers import METHODS, SolverConfig, SolverDiverged, metrics, multi_restart, write_trace
@@ -71,7 +71,7 @@ def _cmd_gen_instance(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    base = read_json(args.config) if args.config else {}
+    base = require_keys(read_json(args.config), (), args.config) if args.config else {}
     base["method"] = args.method
     for key in ("rho", "lambda_reg", "max_iters", "restarts", "init_scale",
                 "step_init", "tol_step", "seed"):
@@ -99,9 +99,7 @@ def _cmd_solve(args) -> int:
         "config": cfg.to_dict(),
         "z_hat": res.z_hat.tolist(),
         "x_hat": res.x_hat.tolist(),
-        "eps_m": mets.eps_m,
-        "eps_r": mets.eps_r,
-        "eps_r_per_pixel": mets.eps_r_per_pixel,
+        **mets._asdict(),
         "iters_used": res.iters_used,
         "restart_index": res.restart_index,
         "converged": res.converged,
@@ -112,8 +110,9 @@ def _cmd_solve(args) -> int:
             json.dump(payload, fh)
     if args.trace:
         write_trace(res.trace, args.trace)
-    print(f"{cfg.method}: eps_m={mets.eps_m:.6g} eps_r={mets.eps_r:.6g} "
-          f"iters={res.iters_used} restart={res.restart_index}")
+    # The first two metrics; the third is the second over the output size.
+    shown = " ".join(f"{name}={value:.6g}" for name, value in zip(mets._fields, mets[:2]))
+    print(f"{cfg.method}: {shown} iters={res.iters_used} restart={res.restart_index}")
     return 0
 
 
@@ -153,7 +152,7 @@ def _cmd_report(args) -> int:
         raise ValueError(f"no results.csv under {args.run}")
     rows = report_long_format(results)
     out = args.out or os.path.join(args.run, "report.csv")
-    write_csv(out, ("sweep_value", "trial", "solver", "metric", "value"), rows)
+    write_csv(out, REPORT_COLUMNS, rows)
     print(f"wrote {len(rows)} long-format rows -> {out}")
     return 0
 

@@ -239,9 +239,14 @@ def region_maps(net: GeneratorNetwork, pattern) -> RegionMaps:
     if pattern.ndim not in (1, 2) or pattern.shape[-1] != width:
         raise ValueError(f"pattern has shape {pattern.shape}, expected (..., {width})")
     lead = pattern.shape[:-1]
-    if net.activation.kind == IDENTITY:
-        # Every unit passes with slope 1, as on the ">= 0" side of a kink.
-        pattern = np.ones(lead + (sum(net.dims[1:]),), dtype=bool)
+    if width == 0:
+        # Identity nets: every unit passes with slope 1, so J and g are the
+        # composed weights and offset, and there are no pre-activations.
+        jac, vec = (np.array(np.broadcast_to(a, lead + a.shape))
+                    for a in (net.weights[0], net.biases[0]))
+        for w, b in zip(net.weights[1:], net.biases[1:]):
+            jac, vec = w @ jac, matvec(w, vec) + b
+        return RegionMaps(np.empty(lead + (0, net.k)), np.empty(lead + (0,)), jac, vec)
     low = net.activation.h if net.activation.kind == LEAKY_RELU else 0.0
     pre_maps, pre_offsets = [], []
     jac = vec = None
@@ -256,9 +261,8 @@ def region_maps(net: GeneratorNetwork, pattern) -> RegionMaps:
         d = np.where(pattern[..., start:start + len(b)], 1.0, low)
         start += len(b)
         jac, vec = d[..., None] * pre_map, d * pre_off
-    # Identity nets have no pattern, so no pre-activations are returned.
-    return RegionMaps(np.concatenate(pre_maps, axis=-2)[..., :width, :],
-                      np.concatenate(pre_offsets, axis=-1)[..., :width], jac, vec)
+    return RegionMaps(np.concatenate(pre_maps, axis=-2),
+                      np.concatenate(pre_offsets, axis=-1), jac, vec)
 
 
 def compose_linear(net: GeneratorNetwork) -> np.ndarray:

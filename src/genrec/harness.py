@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from ._common import as_matrix, child_seeds, row_chunks, substream, substreams
+from ._common import (as_matrix, child_seeds, require_keys, row_chunks, substream,
+                      substreams, write_csv)
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
@@ -32,11 +33,24 @@ from . import theory
 
 SWEEP_AXES = ("measurements", "outliers", "rho_grid")
 
-RESULT_COLUMNS = ("sweep_value", "trial", "solver", "eps_m", "eps_r",
-                  "eps_r_per_pixel", "iters", "restart_index", "seed", "wall_ms")
-SUMMARY_COLUMNS = ("sweep_value", "solver", "trials", "eps_m_median", "eps_m_iqr",
-                   "eps_r_median", "eps_r_iqr", "eps_r_per_pixel_median",
-                   "eps_r_per_pixel_iqr")
+# The per-row fields of every output. A result row is keyed by ROW_KEYS and
+# scored by `score`; results.csv, summary.csv, report.csv and `solve --out`
+# take their metric fields from `Metrics._fields`, so a new per-row metric is
+# a new Metrics field and reaches every output from here.
+ROW_KEYS = ("sweep_value", "trial", "solver")
+RESULT_COLUMNS = ROW_KEYS + Metrics._fields + ("iters", "restart_index", "seed", "wall_ms")
+SUMMARY_COLUMNS = ("sweep_value", "solver", "trials") + tuple(
+    f"{name}_{stat}" for name in Metrics._fields for stat in ("median", "iqr"))
+REPORT_COLUMNS = ROW_KEYS + ("metric", "value")
+
+
+def score(net: GeneratorNetwork, inst, res) -> dict:
+    """A result row's scored fields: the `Metrics` of `res` on `inst`, its
+    iterations and restart index; NaN metrics, 0 and -1 for a SolverDiverged."""
+    if isinstance(res, SolverDiverged):
+        return {**dict.fromkeys(Metrics._fields, math.nan), "iters": 0, "restart_index": -1}
+    return {**metrics(net, inst.M, inst.y, res.z_hat, inst.x0)._asdict(),
+            "iters": res.iters_used, "restart_index": res.restart_index}
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,11 @@ class ExperimentSpec:
         if "sweep" not in d:
             raise ValueError("experiment config is missing the required key 'sweep'")
         _known_keys(d["sweep"], "sweep.", ["axis", "values"])
-        solvers = tuple(SolverConfig.from_dict(s) for s in d.get("solvers", []))
+        solvers = d.get("solvers", [])
+        if not isinstance(solvers, (list, tuple)):
+            raise ValueError(f"solvers must be a list of solver configs, got {solvers!r}")
+        solvers = tuple(SolverConfig.from_dict(require_keys(s, (), f"solvers[{i}]"))
+                        for i, s in enumerate(solvers))
         checks = d.get("checks")
         return cls(
             name=d.get("name", "experiment"),
@@ -196,7 +214,10 @@ def _shapes(value, key: str) -> list[tuple[int, int]]:
 def build_net(net_spec: dict) -> GeneratorNetwork:
     if "dims" not in net_spec:
         raise ValueError("net config is missing the required key 'net.dims'")
-    act = Activation.from_dict(net_spec.get("activation", {"kind": "identity"}))
+    act = net_spec.get("activation", {"kind": "identity"})
+    if isinstance(act, dict) and "h" in act:   # from_dict takes float() of it
+        (_slope if act.get("kind") == LEAKY_RELU else _real)(act["h"], "net.activation.h")
+    act = Activation.from_dict(act)
     dims = [_integer(w, "each of net.dims") for w in net_spec["dims"]]
     return random_gaussian_net(dims, act, _nonnegative(net_spec.get("seed", 0), "net.seed"))
 
@@ -210,13 +231,16 @@ def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
     m = int(sweep_value) if axis == "measurements" else _integer(ms["m"], "measurement.m")
     l = (int(sweep_value) if axis == "outliers"
          else _integer(ms.get("outlier_count", 0), "measurement.outlier_count"))
+    signed = ms.get("outlier_signed", False)
+    if not isinstance(signed, bool):
+        raise ValueError(f"measurement.outlier_signed must be true or false, got {signed!r}")
     return MeasurementModel(
         m=m, n=n,
         matrix_kind=ms.get("matrix_kind", GAUSSIAN),
         outlier_count=l,
         outlier_range=ms.get("outlier_range", (5000.0, 10000.0)),
-        outlier_signed=bool(ms.get("outlier_signed", False)),
-        noise_target=float(ms.get("noise_target", 0.0)),
+        outlier_signed=signed,
+        noise_target=_real(ms.get("noise_target", 0.0), "measurement.noise_target"),
         seed=model_seed,
     )
 
@@ -243,19 +267,9 @@ def _run_point(spec: ExperimentSpec, net: GeneratorNetwork, point_idx: int,
     rows = []
     for trial, (inst, res) in enumerate(zip(insts, results)):
         t0 = time.perf_counter()
-        if isinstance(res, SolverDiverged):
-            nan = float("nan")
-            mets, iters, restart = Metrics(nan, nan, nan), 0, -1
-        else:
-            mets = metrics(net, inst.M, inst.y, res.z_hat, inst.x0)
-            iters, restart = res.iters_used, res.restart_index
-        rows.append({
-            "sweep_value": sweep_value, "trial": trial, "solver": cfg.method,
-            "eps_m": mets.eps_m, "eps_r": mets.eps_r,
-            "eps_r_per_pixel": mets.eps_r_per_pixel,
-            "iters": iters, "restart_index": restart, "seed": inst.seed,
-            "wall_ms": share_ms + (time.perf_counter() - t0) * 1e3,
-        })
+        rows.append({"sweep_value": sweep_value, "trial": trial, "solver": cfg.method,
+                     **score(net, inst, res), "seed": inst.seed,
+                     "wall_ms": share_ms + (time.perf_counter() - t0) * 1e3})
     return rows
 
 
@@ -303,15 +317,11 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1):
 
 
 def summarize_rows(rows: list[dict]) -> list[dict]:
-    """Per (sweep_value, solver): median and interquartile range of each error."""
+    """Per (sweep_value, solver), in order of first appearance: the median
+    and interquartile range of each `Metrics` field."""
     groups: dict[tuple, list[dict]] = {}
-    order = []
     for row in rows:
-        key = (row["sweep_value"], row["solver"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row["sweep_value"], row["solver"]), []).append(row)
 
     def med_iqr(vals):
         arr = np.asarray(vals, dtype=np.float64)
@@ -321,32 +331,12 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
                 float(np.nanpercentile(arr, 75) - np.nanpercentile(arr, 25)))
 
     summary = []
-    for key in order:
-        grp = groups[key]
-        em_med, em_iqr = med_iqr([g["eps_m"] for g in grp])
-        er_med, er_iqr = med_iqr([g["eps_r"] for g in grp])
-        ep_med, ep_iqr = med_iqr([g["eps_r_per_pixel"] for g in grp])
-        summary.append({
-            "sweep_value": key[0], "solver": key[1], "trials": len(grp),
-            "eps_m_median": em_med, "eps_m_iqr": em_iqr,
-            "eps_r_median": er_med, "eps_r_iqr": er_iqr,
-            "eps_r_per_pixel_median": ep_med, "eps_r_per_pixel_iqr": ep_iqr,
-        })
+    for (value, solver), grp in groups.items():
+        row = {"sweep_value": value, "solver": solver, "trials": len(grp)}
+        for name in Metrics._fields:
+            row[f"{name}_median"], row[f"{name}_iqr"] = med_iqr([g[name] for g in grp])
+        summary.append(row)
     return summary
-
-
-def write_csv(path, columns, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def _write_run_echo(spec: ExperimentSpec, **fields) -> None:
@@ -749,21 +739,19 @@ def run_verify(spec: ExperimentSpec) -> dict:
 
 
 def report_long_format(results_csv_path: str):
-    """Melt a results.csv into plot-ready long rows
-    (sweep_value, trial, solver, metric, value). A header without one of
-    those columns or of the `Metrics` columns is a ValueError naming them."""
+    """Melt a results.csv into plot-ready long rows of REPORT_COLUMNS: a
+    row's ROW_KEYS, then one `Metrics` field's name and value. A header
+    without one of the ROW_KEYS or `Metrics` columns is a ValueError naming
+    them."""
     out = []
     with open(results_csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [col for col in ("sweep_value", "trial", "solver") + Metrics._fields
+        missing = [col for col in ROW_KEYS + Metrics._fields
                    if col not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{results_csv_path}: results.csv lacks the columns {missing}")
         for row in reader:
-            for metric in Metrics._fields:
-                out.append({
-                    "sweep_value": row["sweep_value"], "trial": row["trial"],
-                    "solver": row["solver"], "metric": metric,
-                    "value": row[metric],
-                })
+            keys = [row[col] for col in ROW_KEYS]
+            out += [dict(zip(REPORT_COLUMNS, (*keys, name, row[name])))
+                    for name in Metrics._fields]
     return out

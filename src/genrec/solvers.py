@@ -8,16 +8,16 @@ with a Barzilai-Borwein trial step, multi-restart driver) live here too.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._common import as_matrix, as_rows, as_vector, matvec, row_dot, substreams
+from ._common import (as_matrix, as_rows, as_vector, matvec, row_dot, substreams,
+                      write_csv)
 from ._common import default_zero_tol  # noqa: F401  kept importable from here
 from .generator import (IDENTITY, LEAKY_RELU, GeneratorNetwork, forward, forward_pattern,
                         jacobian, layer_preactivations, pullback, region_maps)
@@ -1088,8 +1088,5 @@ def solve_trials(net: GeneratorNetwork, problems, cfgs) -> list:
 
 def write_trace(trace: list[TraceRecord], path) -> None:
     """Export an iterate trace as CSV rows (iter, objective, primal_residual, eps_m)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "primal_residual", "eps_m"])
-        writer.writerows([r.iteration, repr(r.objective), repr(r.primal_residual), repr(r.eps_m)]
-                         for r in trace)
+    columns = ("iter", "objective", "primal_residual", "eps_m")
+    write_csv(path, columns, [dict(zip(columns, astuple(r))) for r in trace])

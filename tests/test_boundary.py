@@ -547,6 +547,60 @@ class TestUnknownConfigKeys:
         assert "measurement.outlier_cout" in one_error_line(capsys)
 
 
+class TestSweepConfigTypes:
+    """Sweep config values of the wrong type, which float(), bool() or
+    iteration would take without a check, are rejected naming the key."""
+
+    LEAKY = {"kind": "leaky_relu"}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"measurement.noise_target": [1]}, "measurement.noise_target must be a number, got [1]"),
+        ({"measurement.noise_target": "x"},
+         "measurement.noise_target must be a number, got 'x'"),
+        ({"measurement.outlier_signed": "no"},
+         "measurement.outlier_signed must be true or false, got 'no'"),
+        ({"net.activation": dict(LEAKY, h=[0.2])}, "net.activation.h must be a number, got [0.2]"),
+        ({"net.activation": dict(LEAKY, h=True)}, "net.activation.h must be a number, got True"),
+        ({"solvers": [5]}, "solvers[0] must be a JSON object, got int"),
+        ({"solvers": {"method": "gd-l1sq"}},
+         "solvers must be a list of solver configs, got {'method': 'gd-l1sq'}")])
+    def test_named_in_one_error_line(self, tmp_path, capsys, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(ExperimentSpec.from_dict(_tiny_sweep(**overrides)))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_tiny_sweep(**overrides)))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert message in one_error_line(capsys)
+        assert not (tmp_path / "run").exists()   # rejected before any solve
+
+    def test_signed_outliers_and_relu_slopes_still_run(self):
+        rows, _ = run_sweep(ExperimentSpec.from_dict(_tiny_sweep(
+            **{"measurement.outlier_signed": True,
+               "net.activation": {"kind": "relu", "h": 1}})))
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("h", [0.0, 1.5])
+    def test_leaky_slope_out_of_range_names_the_key(self, h):
+        with pytest.raises(ValueError, match=rf"^net.activation.h must lie in \(0, 1\], got {h}$"):
+            run_sweep(ExperimentSpec.from_dict(_tiny_sweep(
+                **{"net.activation": dict(self.LEAKY, h=h)})))
+
+
+class TestSolveConfigFile:
+    @pytest.mark.parametrize("text, kind", [("[1]", "list"), ("3", "int"), ('"rho"', "str")])
+    def test_non_object_is_one_error_line_naming_the_file(self, tmp_path, capsys, text, kind):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", "--net", str(net_path), "--instance", str(inst_path),
+                         "--method", "admm-l1", "--config", str(cfg_path)]) == 2
+        assert f"{cfg_path} must be a JSON object, got {kind}" in one_error_line(capsys)
+
+
 class TestNegativeSeeds:
     """numpy and SeedSequence reject a negative seed without naming it; each
     seed field is rejected by name where it enters."""

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from genrec import cli, harness
 from genrec._common import child_seeds, substreams
 from genrec.harness import (ExperimentSpec, report_long_format, run_sweep,
                             run_verify, summarize_rows)
+from genrec.solvers import SolverDiverged
 
 
 def sweep_spec(tmp_path=None, **overrides):
@@ -337,6 +340,66 @@ class TestReport:
         metrics = {r["metric"] for r in rows}
         assert metrics == {"eps_m", "eps_r", "eps_r_per_pixel"}
         assert len(rows) == 3  # one result row x three metrics
+
+
+class TestOutputFormats:
+    """The per-row formats written out literally: harness derives them from
+    `Metrics._fields`, so a change there shows here."""
+
+    METRICS = ["eps_m", "eps_r", "eps_r_per_pixel"]
+
+    @staticmethod
+    def _read(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_summary_and_report_headers(self, tmp_path):
+        run_sweep(sweep_spec(tmp_path))
+        assert self._read(tmp_path / "summary.csv")[0] == [
+            "sweep_value", "solver", "trials", "eps_m_median", "eps_m_iqr",
+            "eps_r_median", "eps_r_iqr", "eps_r_per_pixel_median", "eps_r_per_pixel_iqr"]
+        assert cli.main(["report", "--run", str(tmp_path)]) == 0
+        report = self._read(tmp_path / "report.csv")
+        assert report[0] == ["sweep_value", "trial", "solver", "metric", "value"]
+        assert [row[:4] for row in report[1:]] == [["20", "0", "admm-l1", m]
+                                                   for m in self.METRICS]
+
+    def test_solve_out_keys_and_stdout_line(self, tmp_path, capsys):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        out_path = tmp_path / "result.json"
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "10",
+                         "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", "--net", str(net_path), "--instance", str(inst_path),
+                         "--method", "gd-l1sq", "--out", str(out_path)]) == 0
+        result = json.loads(out_path.read_text())
+        assert list(result) == ["method", "config", "z_hat", "x_hat", *self.METRICS,
+                                "iters_used", "restart_index", "converged", "instance_seed"]
+        line = capsys.readouterr().out
+        assert re.fullmatch(r"gd-l1sq: eps_m=\S+ eps_r=\S+ iters=\d+ restart=0\n", line), line
+        assert line.split()[1:3] == [f"eps_m={result['eps_m']:.6g}",
+                                     f"eps_r={result['eps_r']:.6g}"]
+
+    def test_a_diverged_trial_scores_nan_and_summarizes_to_nan(self):
+        row = harness.score(None, None, SolverDiverged("diverged"))
+        assert list(row) == [*self.METRICS, "iters", "restart_index"]
+        assert all(math.isnan(row[m]) for m in self.METRICS)
+        assert (row["iters"], row["restart_index"]) == (0, -1)
+        rows = [dict(row, sweep_value=6, trial=t, solver="gd-l1sq") for t in range(3)]
+        [summary] = summarize_rows(rows)
+        assert (summary["sweep_value"], summary["solver"], summary["trials"]) == (6, "gd-l1sq", 3)
+        assert all(math.isnan(summary[f"{m}_{stat}"])
+                   for m in self.METRICS for stat in ("median", "iqr"))
+
+    def test_diverged_rows_in_the_sweep_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "solve_trials", lambda net, problems, cfgs: [
+            SolverDiverged("diverged") for _ in problems])
+        run_sweep(sweep_spec(tmp_path, trials_per_point=2))
+        results = self._read(tmp_path / "results.csv")
+        assert [row[:8] for row in results[1:]] == [
+            ["20", str(t), "admm-l1", "nan", "nan", "nan", "0", "-1"] for t in range(2)]
+        assert self._read(tmp_path / "summary.csv")[1] == ["20", "admm-l1", "2"] + ["nan"] * 6
 
 
 class TestCli:
