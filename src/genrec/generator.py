@@ -9,6 +9,7 @@ linear-algebra facts about the composite map can be checked directly.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,7 +62,10 @@ class Activation:
     @classmethod
     def from_dict(cls, d: dict) -> "Activation":
         require_keys(d, ("kind",), "activation")
-        return cls(kind=d["kind"], h=float(d.get("h", 1.0)))
+        h = d.get("h", 1.0)
+        if isinstance(h, bool) or not isinstance(h, numbers.Real):
+            raise ValueError(f"activation.h must be a number, got {h!r}")
+        return cls(kind=d["kind"], h=float(h))
 
 
 @dataclass(frozen=True)

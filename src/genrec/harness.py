@@ -71,9 +71,9 @@ class ExperimentSpec:
         axis = self.sweep.get("axis")
         if axis not in SWEEP_AXES:
             raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-        values = list(self.sweep.get("values", []))
-        if not values:
-            raise ValueError("sweep values must be nonempty")
+        values = self.sweep.get("values", [])
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"sweep.values must be a nonempty list, got {values!r}")
         if axis in ("measurements", "outliers"):
             for v in values:
                 _integer(v, "each of sweep.values")
@@ -89,6 +89,8 @@ class ExperimentSpec:
         _known_keys(d, "", [f.name for f in fields(cls)])
         net = d.get("net", {})
         _known_keys(net, "net.", ["dims", "activation", "seed"])
+        if "dims" in net:
+            _list(net["dims"], "net.dims")
         _known_keys(net.get("activation", {}), "net.activation.", ["kind", "h"])
         _known_keys(d.get("measurement", {}), "measurement.",
                     ["m", "matrix_kind", "outlier_count", "outlier_range", "outlier_signed",
@@ -102,6 +104,11 @@ class ExperimentSpec:
         solvers = tuple(SolverConfig.from_dict(require_keys(s, (), f"solvers[{i}]"))
                         for i, s in enumerate(solvers))
         checks = d.get("checks")
+        if checks is not None:
+            _list(checks, "checks")
+        output_dir = d.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ValueError(f"output_dir must be a path string, got {output_dir!r}")
         return cls(
             name=d.get("name", "experiment"),
             net=d.get("net", {}),
@@ -110,7 +117,7 @@ class ExperimentSpec:
             solvers=solvers,
             trials_per_point=_integer(d.get("trials_per_point", 1), "trials_per_point"),
             seed=_nonnegative(d.get("seed", 0), "seed"),
-            output_dir=d.get("output_dir"),
+            output_dir=output_dir,
             checks=tuple(checks) if checks is not None else None,
         )
 
@@ -134,6 +141,13 @@ def _known_keys(d: dict, prefix: str, known) -> None:
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ValueError(f"unknown config keys {[prefix + key for key in unknown]}")
+
+
+def _list(value, key: str) -> None:
+    """Reject a `value` that is not a JSON list, naming `key`: a number or
+    string would fail to iterate, or iterate by character, under no key."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
 
 
 def _integer(value, key: str) -> int:
@@ -215,7 +229,7 @@ def build_net(net_spec: dict) -> GeneratorNetwork:
     if "dims" not in net_spec:
         raise ValueError("net config is missing the required key 'net.dims'")
     act = net_spec.get("activation", {"kind": "identity"})
-    if isinstance(act, dict) and "h" in act:   # from_dict takes float() of it
+    if isinstance(act, dict) and "h" in act:   # named as the sweep config's key
         (_slope if act.get("kind") == LEAKY_RELU else _real)(act["h"], "net.activation.h")
     act = Activation.from_dict(act)
     dims = [_integer(w, "each of net.dims") for w in net_spec["dims"]]
@@ -398,100 +412,98 @@ def _extreme_singular_values(a: np.ndarray) -> tuple[float, float]:
     return float(sv[0]), float(sv[-1])
 
 
-# Each check's parameters, converted and checked, with their defaults: run
-# by run_verify for every entry before any check runs, and by the check
-# itself. A bad value would otherwise fail only when its check runs, after
-# every earlier check, often deep inside `theory` under no key's name; a
-# count of 0 or a tolerance <= 0 would run and report nothing useful.
-
-def _gaussian_full_rank_params(params):
-    return (_positive(params.get("trials", 20), "gaussian_full_rank.trials"),
-            _shapes(params.get("shapes", [[12, 7]]), "gaussian_full_rank.shapes"))
+def _k_mode(value, key: str) -> str:
+    """`value`, one of theory.K_MODES: how k_majority picks its index set K."""
+    if value not in theory.K_MODES:
+        raise ValueError(f"{key} must be one of {list(theory.K_MODES)}, got {value!r}")
+    return value
 
 
-def _every_r_rows_params(params):
-    """(matrix or None, n, k, mid, outliers, r), r given or n - (2l + 1)."""
-    key = "every_r_rows_full_rank."
-    got = {name: convert(params[name], key + name) for name, convert in
-           (("n", _positive), ("k", _positive), ("mid", _positive),
-            ("outliers", _nonnegative), ("r", _positive)) if name in params}
-    if "matrix" in params:
-        w = as_matrix(params["matrix"], name=key + "matrix")
-        n, k = w.shape
-    elif "n" in got and "k" in got:
-        w, n, k = None, got["n"], got["k"]
-    else:
-        raise ValueError(f"{key}n and {key}k are required without {key}matrix")
-    l = got.get("outliers", 2)
-    r = got.get("r", n - (2 * l + 1))
-    if not k <= r <= n:
-        how = "" if "r" in got else f" (n - (2 * outliers + 1) with outliers = {l})"
-        raise ValueError(f"{key}r must lie in [k, n] = [{k}, {n}], got {r}{how}")
-    return w, n, k, got.get("mid", k), l, r
+def _finite(value, key: str) -> float:
+    """`value` as a finite float, as `_real` takes it."""
+    x = _real(value, key)
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got {x}")
+    return x
 
 
-def _leaky_beta_range_params(params):
-    return _positive(params.get("trials", 10_000), "leaky_beta_range.trials")
-
-
-def _leaky_layer_lift_params(params):
-    return (_widths(params.get("dims", [6, 24, 48]), "leaky_layer_lift.dims"),
-            _slope(params.get("h", 0.2), "leaky_layer_lift.h"),
-            _positive(params.get("pairs", 50), "leaky_layer_lift.pairs"))
-
-
-def _k_majority_params(params):
-    """(dims, h, trials, rho_grid, K_mode, require_max_rho)."""
-    key = "k_majority."
-    k_mode = params.get("K_mode", "worst_by_magnitude")
-    if k_mode not in theory.K_MODES:
-        raise ValueError(f"{key}K_mode must be one of {list(theory.K_MODES)}, got {k_mode!r}")
-    require_max = _real(params.get("require_max_rho", 0.0), key + "require_max_rho")
-    if not math.isfinite(require_max):
-        raise ValueError(f"{key}require_max_rho must be finite, got {require_max}")
-    return (_widths(params.get("dims", [10, 40, 160]), key + "dims"),
-            _slope(params.get("h", 0.2), key + "h"),
-            _positive(params.get("trials", 200), key + "trials"),
-            _rho_grid(params.get("rho_grid", [0.02, 0.05, 0.1]), key + "rho_grid"),
-            k_mode, require_max)
-
-
-def _relu_path_slope_params(params):
-    tol = _real(params.get("tol", 1e-9), "relu_path_slope.tol")
+def _tolerance(value, key: str) -> float:
+    """`value` as a float, as `_real` takes it, finite and > 0."""
+    tol = _real(value, key)
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"relu_path_slope.tol must be a finite number > 0, got {tol}")
-    return (_positive(params.get("n", 50), "relu_path_slope.n"),
-            _positive(params.get("cases", 200), "relu_path_slope.cases"), tol)
+        raise ValueError(f"{key} must be a finite number > 0, got {tol}")
+    return tol
 
 
-def _norm_bounds_params(params):
-    """(n, n - m columns, h, trials, rho_grid or None), m = round(alpha n)."""
-    key = "norm_bounds."
-    n = _positive(params.get("n", 200), key + "n")
-    alpha = _real(params.get("alpha", 0.5), key + "alpha")
-    columns = n - round(alpha * n) if math.isfinite(alpha) else 0
-    if not 1 <= columns < n:
-        raise ValueError(f"{key}alpha must give 1 <= n - round(alpha * n) < n, "
-                         f"got alpha = {alpha} with n = {n}")
-    rho_grid = params.get("rho_grid")
-    return (n, columns, _slope(params.get("h", 0.5), key + "h"),
-            _positive(params.get("trials", 2000), key + "trials"),
-            None if rho_grid is None else _rho_grid(rho_grid, key + "rho_grid"))
+# Each check's parameters besides "name" and "required", in the order they are
+# converted: {key: (converter, default)}. A default of None leaves an absent
+# key out, for `_check_params` to derive. run_verify converts every entry's
+# parameters before any check runs, and each check its own: a bad value would
+# otherwise fail only when its check runs, after every earlier check, often
+# deep inside `theory` under no key's name; a count of 0 or a tolerance <= 0
+# would run and report nothing useful.
+_CHECK_PARAMS = {
+    "gaussian_full_rank": {"trials": (_positive, 20), "shapes": (_shapes, [[12, 7]])},
+    "every_r_rows_full_rank": {
+        "n": (_positive, None), "k": (_positive, None), "mid": (_positive, None),
+        "outliers": (_nonnegative, 2), "r": (_positive, None),
+        "matrix": (lambda value, key: as_matrix(value, name=key), None)},
+    "leaky_beta_range": {"trials": (_positive, 10_000)},
+    "leaky_layer_lift": {"dims": (_widths, [6, 24, 48]), "h": (_slope, 0.2),
+                         "pairs": (_positive, 50)},
+    "k_majority": {
+        "K_mode": (_k_mode, "worst_by_magnitude"), "require_max_rho": (_finite, 0.0),
+        "dims": (_widths, [10, 40, 160]), "h": (_slope, 0.2), "trials": (_positive, 200),
+        "rho_grid": (_rho_grid, [0.02, 0.05, 0.1])},
+    "relu_path_slope": {"tol": (_tolerance, 1e-9), "n": (_positive, 50),
+                        "cases": (_positive, 200)},
+    "norm_bounds": {"n": (_positive, 200), "alpha": (_real, 0.5), "h": (_slope, 0.5),
+                    "trials": (_positive, 2000), "rho_grid": (_rho_grid, None)},
+    "l0_roundtrip": {"cases": (_positive, 12)},
+}
 
 
-def _l0_roundtrip_params(params):
-    return _positive(params.get("cases", 12), "l0_roundtrip.cases")
+def _check_params(name: str, entry: dict) -> dict:
+    """Check `name`'s parameters from its suite entry, converted as
+    `_CHECK_PARAMS` says, with the defaults of absent keys; a key the check
+    does not take is rejected. every_r_rows_full_rank's n and k come from
+    its matrix when given, mid defaults to k and r to n - (2 outliers + 1);
+    norm_bounds adds "columns", n - round(alpha n)."""
+    table, prefix = _CHECK_PARAMS[name], f"{name}."
+    _known_keys(entry, prefix, ("name", "required", *table))
+    p = {key: convert(entry.get(key, default), prefix + key)
+         for key, (convert, default) in table.items()
+         if key in entry or default is not None}
+    if name == "every_r_rows_full_rank":
+        if "matrix" in p:
+            p["n"], p["k"] = p["matrix"].shape
+        elif "n" not in p or "k" not in p:
+            raise ValueError(f"{prefix}n and {prefix}k are required without {prefix}matrix")
+        n, k, l = p["n"], p["k"], p["outliers"]
+        p.setdefault("mid", k)
+        r = p.setdefault("r", n - (2 * l + 1))
+        if not k <= r <= n:
+            how = "" if "r" in entry else f" (n - (2 * outliers + 1) with outliers = {l})"
+            raise ValueError(f"{prefix}r must lie in [k, n] = [{k}, {n}], got {r}{how}")
+    elif name == "norm_bounds":
+        n, alpha = p["n"], p["alpha"]
+        p["columns"] = n - round(alpha * n) if math.isfinite(alpha) else 0
+        if not 1 <= p["columns"] < n:
+            raise ValueError(f"{prefix}alpha must give 1 <= n - round(alpha * n) < n, "
+                             f"got alpha = {alpha} with n = {n}")
+    return p
 
 
 def _check_gaussian_full_rank(params, seed):
-    trials, shapes = _gaussian_full_rank_params(params)
+    p = _check_params("gaussian_full_rank", params)
+    shapes = p["shapes"]
     failures = 0
     total = 0
     min_margin = math.inf
     # One draw at a time: stacking a shape's draws for batched calls measured
     # no faster, and most of the time is in BLAS and LAPACK.
     for si, shape in enumerate(shapes):
-        for rng in substreams(seed, [(si, t) for t in range(trials)]):
+        for rng in substreams(seed, [(si, t) for t in range(p["trials"])]):
             s_max, s_min = _extreme_singular_values(rng.standard_normal(shape))
             margin = s_min - 1e-10 * s_max
             min_margin = min(min_margin, margin)
@@ -500,22 +512,23 @@ def _check_gaussian_full_rank(params, seed):
                 failures += 1
     return [(theory.ConditionReport(
         "gaussian_full_rank", total, failures, min_margin,
-        {"shapes": [list(s) for s in shapes], "trials_per_shape": trials,
+        {"shapes": [list(s) for s in shapes], "trials_per_shape": p["trials"],
          "seed": seed}), True)]
 
 
 def _check_every_r_rows(params, seed):
-    w, n, k, mid, l, r = _every_r_rows_params(params)
+    p = _check_params("every_r_rows_full_rank", params)
+    w = p.get("matrix")
     if w is None:
         rng = substream(seed, ())
-        w = rng.standard_normal((n, mid)) @ rng.standard_normal((mid, k))
-    report = theory.every_r_rows_full_rank(w, r)
-    report.params.update({"outliers": l, "seed": seed})
+        w = rng.standard_normal((p["n"], p["mid"])) @ rng.standard_normal((p["mid"], p["k"]))
+    report = theory.every_r_rows_full_rank(w, p["r"])
+    report.params.update({"outliers": p["outliers"], "seed": seed})
     return [(report, True)]
 
 
 def _check_leaky_beta_range(params, seed):
-    trials = _leaky_beta_range_params(params)
+    trials = _check_params("leaky_beta_range", params)["trials"]
     rng = substream(seed, ())
     failures = 0
     min_margin = math.inf
@@ -539,7 +552,8 @@ def _check_leaky_beta_range(params, seed):
 
 
 def _check_leaky_layer_lift(params, seed):
-    dims, h, pairs = _leaky_layer_lift_params(params)
+    p = _check_params("leaky_layer_lift", params)
+    dims, h, pairs = p["dims"], p["h"], p["pairs"]
     net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
     failures = 0
     min_margin = math.inf
@@ -560,20 +574,21 @@ def _check_leaky_layer_lift(params, seed):
 
 
 def _check_k_majority(params, seed):
-    dims, h, trials, rho_grid, k_mode, require_max = _k_majority_params(params)
-    net = random_gaussian_net(dims, Activation(LEAKY_RELU, h), seed)
-    reports = theory.estimate_rho_star(net, trials=trials, rho_grid=rho_grid, K_mode=k_mode,
-                                       seed=seed)
+    p = _check_params("k_majority", params)
+    net = random_gaussian_net(p["dims"], Activation(LEAKY_RELU, p["h"]), seed)
+    reports = theory.estimate_rho_star(net, trials=p["trials"], rho_grid=p["rho_grid"],
+                                       K_mode=p["K_mode"], seed=seed)
     out = []
     for rep in reports:
         rep.params["rho_star_hat"] = theory.rho_star_from_reports(reports)
         rep.params["bias"] = "gaussian"
-        out.append((rep, rep.params["rho"] <= require_max))
+        out.append((rep, rep.params["rho"] <= p["require_max_rho"]))
     return out
 
 
 def _check_relu_path_slope(params, seed):
-    n, cases, tol = _relu_path_slope_params(params)
+    p = _check_params("relu_path_slope", params)
+    n, cases, tol = p["n"], p["cases"], p["tol"]
     failures = 0
     worst = 0.0
     # Kept as a loop: _safe_slope_case rejects and redraws from the case's
@@ -612,16 +627,16 @@ def _safe_slope_case(rng, n, min_piece=4e-4):
 
 
 def _check_norm_bounds(params, seed):
-    n, nm, h, trials, rho_grid = _norm_bounds_params(params)
-    rng = substream(seed, ())
-    mat = rng.standard_normal((n, nm))
-    report = theory.norm_bounds_check(mat, trials, h, rho_grid=rho_grid, seed=seed)
+    p = _check_params("norm_bounds", params)
+    mat = substream(seed, ()).standard_normal((p["n"], p["columns"]))
+    report = theory.norm_bounds_check(mat, p["trials"], p["h"], rho_grid=p.get("rho_grid"),
+                                      seed=seed)
     report.params["seed"] = seed
     return [(report, True)]
 
 
 def _check_l0_roundtrip(params, seed):
-    cases = _l0_roundtrip_params(params)
+    cases = _check_params("l0_roundtrip", params)["cases"]
     discrepancies = 0
     details = []
     for t, rng in enumerate(substreams(seed, [(t,) for t in range(cases)])):
@@ -668,32 +683,6 @@ _CHECK_RUNNERS = {
 }
 
 
-# Each check's parameters, besides "name" and "required"; run_verify rejects
-# any other key, which the check would otherwise ignore for its default.
-_CHECK_PARAMS = {
-    "gaussian_full_rank": ("shapes", "trials"),
-    "every_r_rows_full_rank": ("matrix", "n", "k", "mid", "outliers", "r"),
-    "leaky_beta_range": ("trials",),
-    "leaky_layer_lift": ("dims", "h", "pairs"),
-    "k_majority": ("dims", "h", "trials", "rho_grid", "K_mode", "require_max_rho"),
-    "relu_path_slope": ("n", "cases", "tol"),
-    "norm_bounds": ("n", "alpha", "h", "trials", "rho_grid"),
-    "l0_roundtrip": ("cases",),
-}
-
-# Each check's parameter parser (see `_gaussian_full_rank_params`).
-_CHECK_PARSERS = {
-    "gaussian_full_rank": _gaussian_full_rank_params,
-    "every_r_rows_full_rank": _every_r_rows_params,
-    "leaky_beta_range": _leaky_beta_range_params,
-    "leaky_layer_lift": _leaky_layer_lift_params,
-    "k_majority": _k_majority_params,
-    "relu_path_slope": _relu_path_slope_params,
-    "norm_bounds": _norm_bounds_params,
-    "l0_roundtrip": _l0_roundtrip_params,
-}
-
-
 def run_verify(spec: ExperimentSpec) -> dict:
     """Execute the configured verification checks and build a manifest.
 
@@ -709,10 +698,9 @@ def run_verify(spec: ExperimentSpec) -> dict:
                 entry["rho_grid"] = list(spec.sweep["values"])
     for entry in checks:
         name = entry.get("name") if isinstance(entry, dict) else None
-        if name not in _CHECK_RUNNERS:
-            raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_RUNNERS)}")
-        _known_keys(entry, f"{name}.", ("name", "required") + _CHECK_PARAMS[name])
-        _CHECK_PARSERS[name](entry)
+        if not isinstance(name, str) or name not in _CHECK_PARAMS:
+            raise ValueError(f"unknown check {name!r}; known: {sorted(_CHECK_PARAMS)}")
+        _check_params(name, entry)
     reports = []
     check_ms = []
     for ci, entry in enumerate(checks):

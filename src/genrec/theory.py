@@ -18,7 +18,6 @@ import numpy as np
 
 from ._common import (as_matrix, as_rows, as_vector, default_zero_tol, matvec, row_chunks,
                       row_dot, substreams)
-from ._common import substream  # noqa: F401  a module attribute the tests patch
 from .generator import GeneratorNetwork, LEAKY_RELU, forward, layer_preactivations
 
 ENUMERATION_BUDGET = 1_000_000

@@ -265,7 +265,11 @@ class TestNormBounds:
             rng = _common.substream(seed, key)
             return ZeroFirst(rng) if key == (6,) else rng
 
-        monkeypatch.setattr(theory, "substream", zero_first_at_6)
+        def zero_first_at_6_block(seed, keys):
+            return [ZeroFirst(rng) if key == (6,) else rng
+                    for key, rng in zip(keys, _common.substreams(seed, keys))]
+
+        monkeypatch.setattr(theory, "substreams", zero_first_at_6_block)
         monkeypatch.setattr(sys.modules[__name__], "substream", zero_first_at_6)
         H = np.random.default_rng(5).standard_normal((20, 9))
         same_reports([theory.norm_bounds_check(H, 9, 0.4, seed=2)],

@@ -201,6 +201,18 @@ class TestMalformedNetAndInstanceFiles:
         self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path,
                        "activation is missing the required key 'kind'")
 
+    @pytest.mark.parametrize("h", [True, "0.3", [0.2]])
+    def test_net_activation_slope_that_is_not_a_number(self, files, tmp_path, capsys, h):
+        """float() would take true as 1.0 and "0.3" as 0.3."""
+        net_path, inst_path = files
+        d = json.loads(net_path.read_text())
+        d["activation"] = {"kind": "leaky_relu", "h": h}
+        net_path.write_text(json.dumps(d))
+        message = f"activation.h must be a number, got {h!r}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{net_path}: {message}')}$"):
+            load_net(net_path)
+        self._rejected(capsys, self._runs(net_path, inst_path, tmp_path), net_path, message)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("key", ["z0", "x0", "M", "e", "eta", "y"])
     def test_instance_with_non_finite_entries(self, files, tmp_path, capsys, key, bad):
@@ -563,7 +575,10 @@ class TestSweepConfigTypes:
         ({"net.activation": dict(LEAKY, h=True)}, "net.activation.h must be a number, got True"),
         ({"solvers": [5]}, "solvers[0] must be a JSON object, got int"),
         ({"solvers": {"method": "gd-l1sq"}},
-         "solvers must be a list of solver configs, got {'method': 'gd-l1sq'}")])
+         "solvers must be a list of solver configs, got {'method': 'gd-l1sq'}"),
+        ({"net.dims": 5}, "net.dims must be a list, got 5"),
+        ({"sweep": {"axis": "measurements", "values": 5}},
+         "sweep.values must be a nonempty list, got 5")])
     def test_named_in_one_error_line(self, tmp_path, capsys, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_sweep(ExperimentSpec.from_dict(_tiny_sweep(**overrides)))
@@ -799,3 +814,71 @@ class TestVerifyCheckEntries:
     def test_each_check_rejects_a_key_it_does_not_take(self, entry):
         with pytest.raises(ValueError, match=rf"\['{entry['name']}\.seed'\]"):
             run_verify(ExperimentSpec.from_dict(self._verify(dict(entry, seed=1))))
+
+
+class TestVerifyConfigTypes:
+    """A verify config's checks that is not a list, which would be iterated
+    by character, or an output_dir that is not a path string, which would
+    fail only after every check has run, is rejected naming the key before
+    any check runs."""
+
+    VERIFY = {"name": "v", "sweep": {"axis": "rho_grid", "values": [0.1]},
+              "checks": [{"name": "l0_roundtrip", "cases": 1}]}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"checks": 5}, "checks must be a list, got 5"),
+        ({"checks": "l0_roundtrip"}, "checks must be a list, got 'l0_roundtrip'"),
+        ({"output_dir": 5}, "output_dir must be a path string, got 5")])
+    def test_named_in_one_error_line(self, monkeypatch, tmp_path, capsys, overrides, message):
+        ran = []
+        for check in list(harness._CHECK_RUNNERS):   # no check may run
+            monkeypatch.setitem(harness._CHECK_RUNNERS, check,
+                                lambda params, seed: ran.append(params) or [])
+        config = dict(self.VERIFY, **overrides)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ExperimentSpec.from_dict(config)
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert message in one_error_line(capsys)
+        assert ran == []
+
+
+class TestCheckDefaults:
+    """A bare check entry, {"name": ...} plus n and k for
+    every_r_rows_full_rank, runs its check with these parameters, which are
+    not the default suite's."""
+
+    DEFAULTS = {
+        "gaussian_full_rank": {"trials": 20, "shapes": [[12, 7]]},
+        "every_r_rows_full_rank": {"n": 12, "k": 3, "mid": 3, "outliers": 2, "r": 7},
+        "leaky_beta_range": {"trials": 10_000},
+        "leaky_layer_lift": {"dims": [6, 24, 48], "h": 0.2, "pairs": 50},
+        "k_majority": {"K_mode": "worst_by_magnitude", "require_max_rho": 0.0,
+                       "dims": [10, 40, 160], "h": 0.2, "trials": 200,
+                       "rho_grid": [0.02, 0.05, 0.1]},
+        "relu_path_slope": {"tol": 1e-9, "n": 50, "cases": 200},
+        "norm_bounds": {"n": 200, "alpha": 0.5, "h": 0.5, "trials": 2000},
+        "l0_roundtrip": {"cases": 12},
+    }
+    BARE = {"every_r_rows_full_rank": {"n": 12, "k": 3}}
+
+    @staticmethod
+    def _run(entry):
+        results = harness._CHECK_RUNNERS[entry["name"]](entry, 3)
+        return [(report.to_dict(), required) for report, required in results]
+
+    def test_every_check_has_a_case(self):
+        assert sorted(self.DEFAULTS) == sorted(e["name"] for e in default_checks())
+
+    @pytest.mark.parametrize("name", sorted(DEFAULTS))
+    def test_bare_entry_runs_the_defaults(self, name):
+        bare = {"name": name, **self.BARE.get(name, {})}
+        assert self._run(bare) == self._run({"name": name, **self.DEFAULTS[name]})
+
+    def test_defaults_are_not_the_suites(self):
+        [(report, _)] = self._run({"name": "gaussian_full_rank"})
+        assert report["params"]["shapes"] == [[12, 7]]
+        assert report["params"]["trials_per_shape"] == 20
+        required = [req for _, req in self._run({"name": "k_majority", "trials": 5})]
+        assert required == [False, False, False]   # require_max_rho 0.0, not 0.02

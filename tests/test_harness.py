@@ -229,6 +229,12 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             run_verify(verify_spec(checks=[{"name": "not-a-check"}]))
 
+    @pytest.mark.parametrize("name", [["k_majority"], None])
+    def test_check_name_that_is_not_a_string_rejected(self, name):
+        # A list is no dict key: the lookup must not raise a TypeError.
+        with pytest.raises(ValueError, match=rf"^unknown check {re.escape(repr(name))};"):
+            run_verify(verify_spec(checks=[{"name": name}]))
+
     def test_manifest_deterministic(self):
         a = run_verify(verify_spec())
         b = run_verify(verify_spec())
