@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from ._common import (as_matrix, child_seeds, require_keys, row_chunks, substream,
-                      substreams, write_csv)
+from ._common import (as_matrix, child_seeds, default_zero_tol, require_keys, row_chunks,
+                      substream, substreams, write_csv)
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
@@ -193,6 +193,13 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _boolean(value, key: str) -> bool:
+    """`value` if it is true or false, not what bool() reads as one ("no", 0)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _slope(value, key: str) -> float:
     """`value` as a float in (0, 1], as `_real` takes it: a leaky-ReLU slope."""
     h = _real(value, key)
@@ -245,15 +252,12 @@ def _measurement_model(spec: ExperimentSpec, n: int, sweep_value: int,
     m = int(sweep_value) if axis == "measurements" else _integer(ms["m"], "measurement.m")
     l = (int(sweep_value) if axis == "outliers"
          else _integer(ms.get("outlier_count", 0), "measurement.outlier_count"))
-    signed = ms.get("outlier_signed", False)
-    if not isinstance(signed, bool):
-        raise ValueError(f"measurement.outlier_signed must be true or false, got {signed!r}")
     return MeasurementModel(
         m=m, n=n,
         matrix_kind=ms.get("matrix_kind", GAUSSIAN),
         outlier_count=l,
         outlier_range=ms.get("outlier_range", (5000.0, 10000.0)),
-        outlier_signed=signed,
+        outlier_signed=_boolean(ms.get("outlier_signed", False), "measurement.outlier_signed"),
         noise_target=_real(ms.get("noise_target", 0.0), "measurement.noise_target"),
         seed=model_seed,
     )
@@ -466,14 +470,16 @@ _CHECK_PARAMS = {
 def _check_params(name: str, entry: dict) -> dict:
     """Check `name`'s parameters from its suite entry, converted as
     `_CHECK_PARAMS` says, with the defaults of absent keys; a key the check
-    does not take is rejected. every_r_rows_full_rank's n and k come from
-    its matrix when given, mid defaults to k and r to n - (2 outliers + 1);
-    norm_bounds adds "columns", n - round(alpha n)."""
+    does not take is rejected, and "required" (default true) must be true or
+    false. every_r_rows_full_rank's n and k come from its matrix when given,
+    mid defaults to k and r to n - (2 outliers + 1); norm_bounds adds
+    "columns", n - round(alpha n)."""
     table, prefix = _CHECK_PARAMS[name], f"{name}."
     _known_keys(entry, prefix, ("name", "required", *table))
     p = {key: convert(entry.get(key, default), prefix + key)
          for key, (convert, default) in table.items()
          if key in entry or default is not None}
+    p["required"] = _boolean(entry.get("required", True), prefix + "required")
     if name == "every_r_rows_full_rank":
         if "matrix" in p:
             p["n"], p["k"] = p["matrix"].shape
@@ -658,7 +664,7 @@ def _check_l0_roundtrip(params, seed):
         z0 = grid[int(rng.integers(grid.shape[0]))]
         others = grid[np.any(grid != z0, axis=1)]
         seps = theory.l0_separation(net, mat, others, z0,
-                                    theory.default_zero_tol(mat @ forward(net, z0)))
+                                    default_zero_tol(mat @ forward(net, z0)))
         predicted = min(seps) >= 2 * l + 1
         recovered, _ = theory.l0_recovery_bruteforce(net, mat, z0, l, grid)
         if recovered != predicted:
@@ -705,7 +711,7 @@ def run_verify(spec: ExperimentSpec) -> dict:
     check_ms = []
     for ci, entry in enumerate(checks):
         name = entry["name"]
-        required_default = bool(entry.get("required", True))
+        required_default = _check_params(name, entry)["required"]
         seed = child_seeds(spec.seed, 1, spawn_key=(ci,))[0]
         t0 = time.perf_counter()
         results = _CHECK_RUNNERS[name](entry, seed)

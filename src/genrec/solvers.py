@@ -18,7 +18,6 @@ import numpy as np
 
 from ._common import (as_matrix, as_rows, as_vector, matvec, row_dot, substreams,
                       write_csv)
-from ._common import default_zero_tol  # noqa: F401  kept importable from here
 from .generator import (IDENTITY, LEAKY_RELU, GeneratorNetwork, forward, forward_pattern,
                         jacobian, layer_preactivations, pullback, region_maps)
 
@@ -951,75 +950,68 @@ def _settle_regions(net: GeneratorNetwork, s: _RowState) -> None:
         s.held |= due
 
 
-def _signal(net: GeneratorNetwork, z, linear: bool):
-    """What a descent solve measures at each row of z, and the pre-activations
-    it came from: G(z) and its `layer_preactivations`, or, on a problem
-    composed with an identity net or a region model (`linear`, see
-    `_problem` and `_descend`), z and none."""
-    if linear:
-        return z, ()
-    pres = layer_preactivations(net, z)
-    return net.activation.apply(pres[-1]), pres
-
-
-def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
-                  z0=None) -> RecoveryResult | list:
-    """Gradient descent on f(z) = ||M G(z) - y||_1^2.
-
-    The descent direction comes from the subgradient
-    2 ||r||_1 J^T M^T sign(r) with sign(0) = 0; the objective is
-    non-differentiable only on a measure-zero set. On an identity net the
-    solve runs on the composed A z - b (see `_problem`), with gradient
-    2 ||r||_1 A^T sign(r); on nets above the region-model cut, so do the
+def _gradient_descent(net: GeneratorNetwork, M, y, cfg: SolverConfig, z0,
+                      objective: Callable, weight: Callable) -> RecoveryResult | list:
+    """`_descend` on f(z) = objective(r) of the residual r = M G(z) - y, plus
+    lambda_reg ||z||_2^2 for gd-l2sq-reg. The descent direction comes from
+    the (sub)gradient s J^T M^T v + 2 lambda_reg z, (s, v) = weight(r): a
+    row's scale s, or one for all rows, and the residual's weight v. On an
+    identity net the solve runs on the composed A z - b (see `_problem`),
+    with gradient s A^T v; on nets above the region-model cut, so do the
     points that stay in a row's region model (see `_descend`). z0 may be a
     (B, k) block of starting points, or T problems' (T, R, k) block, as in
-    `_descend`.
-    """
-    _check_method(cfg, GD_L1SQ)
-    linear = net.activation.kind == IDENTITY
-    M, y, z = _problem(net, M, y, cfg, z0, compose=linear)
-
-    def value(z, M=M, y=y, *, composed=linear):
-        x, pres = _signal(net, z, composed)
-        r = _residual(M, x, y)
-        l1 = _l1(r)
-        return l1 * l1, r, pres
-
-    def grad(z, r, pres, M=M, *_):
-        g = pullback(net, pres, matvec(np.swapaxes(M, -1, -2), np.sign(r)))
-        return (2.0 * _l1(r))[:, None] * g
-
-    return _descend(net, y, cfg, z, value, grad, M, y)
-
-
-def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
-                  z0=None) -> RecoveryResult | list:
-    """Gradient descent on ||M G(z) - y||_2^2, plus lambda_reg ||z||_2^2 for
-    the regularized method. On an identity net the solve runs on the
-    composed A z - b (see `_problem`); on nets above the region-model cut,
-    so do the points that stay in a row's region model (see `_descend`).
-    z0 may be a (B, k) block of starting points, or T problems' (T, R, k)
-    block, as in `_descend`."""
-    _check_method(cfg, GD_L2SQ, GD_L2SQ_REG)
+    `_descend`."""
     linear = net.activation.kind == IDENTITY
     M, y, z = _problem(net, M, y, cfg, z0, compose=linear)
     lam = cfg.lambda_reg if cfg.method == GD_L2SQ_REG else 0.0
 
     def value(z, M=M, y=y, *, composed=linear):
-        x, pres = _signal(net, z, composed)
+        if composed:   # measured on A z - b: no layers, no pre-activations
+            x, pres = z, ()
+        else:
+            pres = layer_preactivations(net, z)
+            x = net.activation.apply(pres[-1])
         r = _residual(M, x, y)
-        f = row_dot(r, r)
+        f = objective(r)
         if lam > 0:
             f = f + lam * row_dot(z, z)
         return f, r, pres
 
     def grad(z, r, pres, M=M, *_):
-        g = 2.0 * pullback(net, pres, matvec(np.swapaxes(M, -1, -2), r))
+        s, v = weight(r)
+        g = s * pullback(net, pres, matvec(np.swapaxes(M, -1, -2), v))
         if lam > 0:
             g = g + 2.0 * lam * z
         return g
 
     return _descend(net, y, cfg, z, value, grad, M, y)
+
+
+def _squared_l1(r: np.ndarray) -> np.ndarray:
+    l1 = _l1(r)
+    return l1 * l1
+
+
+def gd_squared_l1(net: GeneratorNetwork, M, y, cfg: SolverConfig,
+                  z0=None) -> RecoveryResult | list:
+    """Gradient descent on f(z) = ||M G(z) - y||_1^2 (see `_gradient_descent`).
+
+    The descent direction comes from the subgradient
+    2 ||r||_1 J^T M^T sign(r) with sign(0) = 0; the objective is
+    non-differentiable only on a measure-zero set.
+    """
+    _check_method(cfg, GD_L1SQ)
+    return _gradient_descent(net, M, y, cfg, z0, _squared_l1,
+                             lambda r: ((2.0 * _l1(r))[:, None], np.sign(r)))
+
+
+def gd_squared_l2(net: GeneratorNetwork, M, y, cfg: SolverConfig,
+                  z0=None) -> RecoveryResult | list:
+    """Gradient descent on ||M G(z) - y||_2^2, plus lambda_reg ||z||_2^2 for
+    the regularized method (see `_gradient_descent`); the gradient is
+    2 J^T M^T r."""
+    _check_method(cfg, GD_L2SQ, GD_L2SQ_REG)
+    return _gradient_descent(net, M, y, cfg, z0, lambda r: row_dot(r, r), lambda r: (2.0, r))
 
 
 _SOLVERS: dict[str, Callable] = {

@@ -11,6 +11,7 @@ import hashlib
 
 import numpy as np
 
+from genrec._common import default_zero_tol
 from genrec.generator import (Activation, forward, jacobian,
                               layer_preactivations, random_gaussian_net)
 from genrec.measurement import MeasurementModel, build_instance
@@ -19,7 +20,6 @@ from genrec.theory import (estimate_rho_star, every_r_rows_full_rank,
                            l0_recovery_bruteforce, l0_separation, latent_grid,
                            leaky_beta, leaky_layer_ratios, relu_path_kinks,
                            relu_path_slope, relu_path_value)
-from genrec.solvers import default_zero_tol
 
 from conftest import make_linear_net
 

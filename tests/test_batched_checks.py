@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from genrec import _common, harness, theory
-from genrec._common import substream
+from genrec._common import default_zero_tol, substream
 from genrec.generator import Activation, LEAKY_RELU, forward, random_gaussian_net
-from genrec.solvers import default_zero_tol
 
 
 # ---------------------------------------------------------------------------

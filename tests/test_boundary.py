@@ -14,7 +14,7 @@ from genrec.generator import (Activation, GeneratorNetwork, load_net,
                               random_gaussian_net)
 from genrec.harness import ExperimentSpec, default_checks, run_sweep, run_verify
 from genrec.measurement import MeasurementModel, load_instance, sample_noise, sample_outliers
-from genrec.solvers import SolverConfig
+from genrec.solvers import SolverConfig, SolverDiverged
 
 
 def one_error_line(capsys) -> str:
@@ -578,7 +578,8 @@ class TestSweepConfigTypes:
          "solvers must be a list of solver configs, got {'method': 'gd-l1sq'}"),
         ({"net.dims": 5}, "net.dims must be a list, got 5"),
         ({"sweep": {"axis": "measurements", "values": 5}},
-         "sweep.values must be a nonempty list, got 5")])
+         "sweep.values must be a nonempty list, got 5"),
+        ({"solvers": []}, "sweep needs at least one solver config")])
     def test_named_in_one_error_line(self, tmp_path, capsys, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_sweep(ExperimentSpec.from_dict(_tiny_sweep(**overrides)))
@@ -599,6 +600,28 @@ class TestSweepConfigTypes:
         with pytest.raises(ValueError, match=rf"^net.activation.h must lie in \(0, 1\], got {h}$"):
             run_sweep(ExperimentSpec.from_dict(_tiny_sweep(
                 **{"net.activation": dict(self.LEAKY, h=h)})))
+
+
+class TestSolveDiverged:
+    def test_every_restart_diverged_is_one_line(self, monkeypatch, tmp_path, capsys):
+        net_path, inst_path, out = (tmp_path / name for name in ("net.json", "inst.json",
+                                                                  "out.json"))
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+
+        def diverge(*args, **kwargs):
+            raise SolverDiverged("all restarts diverged (restart 0: non-finite iterate at "
+                                 "iteration 3)")
+        monkeypatch.setattr(cli, "multi_restart", diverge)
+        assert cli.main(["solve", "--net", str(net_path), "--instance", str(inst_path),
+                         "--method", "gd-l1sq", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("solver diverged: all restarts diverged (restart 0: "
+                                "non-finite iterate at iteration 3)\n")
+        assert not out.exists()
 
 
 class TestSolveConfigFile:
@@ -764,7 +787,13 @@ class TestVerifyCheckEntries:
          "r must lie in [k, n] = [3, 12], got 2"),
         ("every_r_rows_full_rank", {"n": 12, "k": 3, "r": 13},
          "r must lie in [k, n] = [3, 12], got 13"),
-        ("every_r_rows_full_rank", {"matrix": [1.0, 2.0]}, "matrix must be 2-D, got shape (2,)")])
+        ("every_r_rows_full_rank", {"matrix": [1.0, 2.0]}, "matrix must be 2-D, got shape (2,)"),
+        ("l0_roundtrip", {"required": "no"}, "required must be true or false, got 'no'"),
+        ("k_majority", {"required": "false"}, "required must be true or false, got 'false'"),
+        ("k_majority", {"required": 0}, "required must be true or false, got 0"),
+        ("gaussian_full_rank", {"required": 1}, "required must be true or false, got 1"),
+        ("norm_bounds", {"required": None}, "required must be true or false, got None"),
+        ("relu_path_slope", {"required": []}, "required must be true or false, got []")])
     def test_parameters_rejected_before_any_check_runs(self, monkeypatch, tmp_path, capsys,
                                                        name, params, message):
         self._rejected_before_any_check_runs(monkeypatch, tmp_path, capsys, name, params, None,

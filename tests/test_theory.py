@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrec._common import default_zero_tol
 from genrec.generator import Activation, forward, random_gaussian_net
-from genrec.solvers import default_zero_tol
 from genrec.theory import (ConditionReport, estimate_rho_star,
                            every_r_rows_full_rank, k_majority_condition,
                            l0_recovery_bruteforce, l0_separation, latent_grid,
