@@ -1,10 +1,13 @@
-"""Small shared array, RNG and file helpers."""
+"""Small shared array, RNG and file helpers, and the converters (`_integer`
+to `_real_array`) through which configs, net files and instance files read
+every JSON value, so a malformed one is a ValueError naming its key."""
 
 from __future__ import annotations
 
 import csv
 import functools
 import json
+import numbers
 import operator
 
 import numpy as np
@@ -283,6 +286,67 @@ def require_keys(d, keys, what: str) -> dict:
     if missing:
         raise ValueError(f"{what} is missing the required key {missing[0]!r}")
     return d
+
+
+def _integer(value, key: str) -> int:
+    """`value` as an int. Bools, non-numbers and numbers with a fractional
+    part, which int() would truncate, raise a ValueError naming `key`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _nonnegative(value, key: str) -> int:
+    """`value` as an int, as `_integer` takes it, and >= 0: an RNG seed, or a
+    count that may be 0."""
+    n = _integer(value, key)
+    if n < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {n}")
+    return n
+
+
+def _positive(value, key: str) -> int:
+    """`value` as an int, as `_integer` takes it, and >= 1."""
+    n = _integer(value, key)
+    if n < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {n}")
+    return n
+
+
+def _widths(value, key: str) -> list[int]:
+    """`value` as a list of layer widths: at least two ints, each as
+    `_positive` takes it."""
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ValueError(f"{key} must be a list of at least two integers, got {value!r}")
+    return [_positive(w, f"{key}[{i}]") for i, w in enumerate(value)]
+
+
+def _real(value, key: str) -> float:
+    """`value` as a float. Bools and non-numbers raise a ValueError naming
+    `key`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value, key: str) -> bool:
+    """`value` if it is true or false, not what bool() reads as one ("no", 0)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _real_array(value, key: str) -> np.ndarray:
+    """`value`, nested lists of numbers, as a float64 array; strings, bools
+    or nulls raise a ValueError naming `key`. The dtype is checked after
+    numpy's one pass, so numbers mixed with bools (upcast) pass."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        what = {"b": "true/false", "U": "strings"}.get(a.dtype.kind, "null or other values")
+        raise ValueError(f"{key} must hold only numbers, got {what}")
+    return a.astype(np.float64, copy=False)
 
 
 def write_csv(path, columns, rows) -> None:

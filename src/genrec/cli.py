@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from ._common import read_json, require_keys, write_csv
+from ._common import _nonnegative, read_json, require_keys, write_csv
 from .generator import Activation, load_net, random_gaussian_net, save_net
 from .harness import (REPORT_COLUMNS, ExperimentSpec, report_long_format, run_sweep,
                       run_verify)
@@ -33,16 +33,9 @@ def _parse_dims(text: str) -> list[int]:
                          "expected e.g. 20,500,500,784") from None
 
 
-def _seed_flag(value, flag: str) -> None:
-    """Reject a negative seed flag by name (numpy's error names no flag)."""
-    if value is not None and value < 0:
-        raise ValueError(f"{flag} must be a non-negative integer, got {value}")
-
-
 def _cmd_gen_net(args) -> int:
-    _seed_flag(args.seed, "--seed")
     act = Activation(_ACTIVATION_FLAGS[args.activation], args.h)
-    net = random_gaussian_net(_parse_dims(args.dims), act, args.seed)
+    net = random_gaussian_net(_parse_dims(args.dims), act, _nonnegative(args.seed, "--seed"))
     save_net(net, args.out)
     print(f"wrote network dims={list(net.dims)} activation={net.activation.kind} "
           f"seed={net.seed} -> {args.out}")
@@ -50,8 +43,8 @@ def _cmd_gen_net(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
-    _seed_flag(args.seed, "--seed")
-    _seed_flag(args.model_seed, "--model-seed")
+    seed = _nonnegative(args.seed, "--seed")
+    model_seed = seed if args.model_seed is None else _nonnegative(args.model_seed, "--model-seed")
     net = load_net(args.net)
     try:
         lo, hi = (float(v) for v in args.outlier_range.split(","))
@@ -62,8 +55,8 @@ def _cmd_gen_instance(args) -> int:
         m=args.m, n=net.n, matrix_kind=args.matrix,
         outlier_count=args.outliers, outlier_range=(lo, hi),
         outlier_signed=args.signed, noise_target=args.noise,
-        seed=args.model_seed if args.model_seed is not None else args.seed)
-    inst = build_instance(net, model, seed=args.seed)
+        seed=model_seed)
+    inst = build_instance(net, model, seed=seed)
     save_instance(inst, args.out)
     print(f"wrote instance m={inst.m} n={inst.n} l={inst.outlier_count} "
           f"seed={inst.seed} -> {args.out}")

@@ -9,13 +9,13 @@ linear-algebra facts about the composite map can be checked directly.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_rows, load_json, matvec, require_keys
+from ._common import (_nonnegative, _real, _real_array, _widths, as_rows, load_json, matvec,
+                      require_keys)
 
 IDENTITY = "identity"
 RELU = "relu"
@@ -62,10 +62,7 @@ class Activation:
     @classmethod
     def from_dict(cls, d: dict) -> "Activation":
         require_keys(d, ("kind",), "activation")
-        h = d.get("h", 1.0)
-        if isinstance(h, bool) or not isinstance(h, numbers.Real):
-            raise ValueError(f"activation.h must be a number, got {h!r}")
-        return cls(kind=d["kind"], h=float(h))
+        return cls(kind=d["kind"], h=_real(d.get("h", 1.0), "activation.h"))
 
 
 @dataclass(frozen=True)
@@ -297,11 +294,11 @@ def net_from_dict(d: dict) -> GeneratorNetwork:
     lacks a key raises a ValueError naming it."""
     require_keys(d, ("dims", "weights", "biases", "activation"), "net")
     return GeneratorNetwork(
-        dims=tuple(d["dims"]),
-        weights=tuple(np.asarray(w, dtype=np.float64) for w in d["weights"]),
-        biases=tuple(np.asarray(b, dtype=np.float64) for b in d["biases"]),
+        dims=tuple(_widths(d["dims"], "dims")),
+        weights=tuple(_real_array(w, f"weights[{i}]") for i, w in enumerate(d["weights"])),
+        biases=tuple(_real_array(b, f"biases[{i}]") for i, b in enumerate(d["biases"])),
         activation=Activation.from_dict(d["activation"]),
-        seed=int(d.get("seed", 0)),
+        seed=_nonnegative(d.get("seed", 0), "seed"),
     )
 
 

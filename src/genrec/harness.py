@@ -18,13 +18,14 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from ._common import (as_matrix, child_seeds, default_zero_tol, require_keys, row_chunks,
-                      substream, substreams, write_csv)
+from ._common import (_boolean, _integer, _nonnegative, _positive, _real, _widths, as_matrix,
+                      child_seeds, default_zero_tol, require_keys, row_chunks, substream,
+                      substreams, write_csv)
 from .generator import (Activation, GeneratorNetwork, LEAKY_RELU, forward,
                         random_gaussian_net)
 from .measurement import GAUSSIAN, MeasurementModel, build_instance
@@ -101,8 +102,7 @@ class ExperimentSpec:
         solvers = d.get("solvers", [])
         if not isinstance(solvers, (list, tuple)):
             raise ValueError(f"solvers must be a list of solver configs, got {solvers!r}")
-        solvers = tuple(SolverConfig.from_dict(require_keys(s, (), f"solvers[{i}]"))
-                        for i, s in enumerate(solvers))
+        solvers = tuple(_solver_entry(s, f"solvers[{i}]") for i, s in enumerate(solvers))
         checks = d.get("checks")
         if checks is not None:
             _list(checks, "checks")
@@ -122,13 +122,16 @@ class ExperimentSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "net": self.net, "measurement": self.measurement,
-            "sweep": self.sweep, "solvers": [s.to_dict() for s in self.solvers],
-            "trials_per_point": self.trials_per_point, "seed": self.seed,
-            "output_dir": self.output_dir,
-            "checks": list(self.checks) if self.checks is not None else None,
-        }
+        return asdict(self)
+
+
+def _solver_entry(entry, key: str) -> SolverConfig:
+    """SolverConfig.from_dict(entry), its errors prefixed with the entry's `key`."""
+    require_keys(entry, (), key)
+    try:
+        return SolverConfig.from_dict(entry)
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from None
 
 
 def _known_keys(d: dict, prefix: str, known) -> None:
@@ -148,56 +151,6 @@ def _list(value, key: str) -> None:
     string would fail to iterate, or iterate by character, under no key."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {value!r}")
-
-
-def _integer(value, key: str) -> int:
-    """`value` as an int. Bools, non-numbers and numbers with a fractional
-    part, which int() would truncate, raise a ValueError naming `key`."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _nonnegative(value, key: str) -> int:
-    """`value` as an int, as `_integer` takes it, and >= 0: an RNG seed, or a
-    count that may be 0."""
-    n = _integer(value, key)
-    if n < 0:
-        raise ValueError(f"{key} must be a non-negative integer, got {n}")
-    return n
-
-
-def _positive(value, key: str) -> int:
-    """`value` as an int, as `_integer` takes it, and >= 1."""
-    n = _integer(value, key)
-    if n < 1:
-        raise ValueError(f"{key} must be an integer >= 1, got {n}")
-    return n
-
-
-def _widths(value, key: str) -> list[int]:
-    """`value` as a list of layer widths: at least two ints, each as
-    `_positive` takes it."""
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
-        raise ValueError(f"{key} must be a list of at least two integers, got {value!r}")
-    return [_positive(w, f"{key}[{i}]") for i, w in enumerate(value)]
-
-
-def _real(value, key: str) -> float:
-    """`value` as a float. Bools and non-numbers raise a ValueError naming
-    `key`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _boolean(value, key: str) -> bool:
-    """`value` if it is true or false, not what bool() reads as one ("no", 0)."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _slope(value, key: str) -> float:

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import as_vector, child_seeds, load_json, require_keys
+from ._common import (_nonnegative, _real, _real_array, as_vector, child_seeds, load_json,
+                      require_keys)
 from .generator import GeneratorNetwork, forward
 
 GAUSSIAN = "gaussian"
@@ -59,7 +60,7 @@ def _finite_range(value_range) -> tuple[float, float]:
     """(lo, hi) as floats; rejects a range that is malformed, non-finite or
     has lo > hi."""
     try:
-        lo, hi = (float(v) for v in value_range)
+        lo, hi = (_real(v, "outlier range") for v in value_range)
     except (TypeError, ValueError):
         raise ValueError(f"outlier range must be two numbers (lo, hi), "
                          f"got {value_range!r}") from None
@@ -230,17 +231,12 @@ def instance_from_dict(d: dict) -> ProblemInstance:
     seeds = require_keys(meta.get("seeds", {}), (), "instance meta.seeds")
     return ProblemInstance(
         net_ref=d["net_ref"],
-        z0=np.asarray(d["z0"], dtype=np.float64),
-        x0=np.asarray(d["x0"], dtype=np.float64),
-        M=np.asarray(d["M"], dtype=np.float64),
-        e=np.asarray(d["e"], dtype=np.float64),
-        eta=np.asarray(d["eta"], dtype=np.float64),
-        y=np.asarray(d["y"], dtype=np.float64),
-        seed=int(d["seed"]),
-        outlier_count=int(meta["l"]),
-        noise_target=float(meta["noise_target"]),
+        **{key: _real_array(d[key], key) for key in ("z0", "x0", "M", "e", "eta", "y")},
+        seed=_nonnegative(d["seed"], "seed"),
+        outlier_count=_nonnegative(meta["l"], "meta.l"),
+        noise_target=_real(meta["noise_target"], "meta.noise_target"),
         matrix_kind=meta["matrix_kind"],
-        model_seed=int(seeds.get("model", 0)),
+        model_seed=_nonnegative(seeds.get("model", 0), "meta.seeds.model"),
         component_seeds={k: v for k, v in seeds.items()
                          if k not in ("instance", "model")},
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class ConditionReport:
             raise ValueError("failures must lie in [0, trials]")
 
     def to_dict(self) -> dict:
-        return {
-            "condition_name": self.condition_name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "min_margin": self.min_margin,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def l0_norm(v, zero_tol: float) -> int:

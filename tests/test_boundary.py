@@ -2,18 +2,21 @@
 `genrec: error:` line and exit status 2 from the CLI."""
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
 
 from genrec import cli, harness
-from genrec.generator import (Activation, GeneratorNetwork, load_net,
-                              random_gaussian_net)
+from genrec.generator import (Activation, GeneratorNetwork, load_net, net_from_dict,
+                              random_gaussian_net, save_net)
 from genrec.harness import ExperimentSpec, default_checks, run_sweep, run_verify
-from genrec.measurement import MeasurementModel, load_instance, sample_noise, sample_outliers
+from genrec.measurement import (MeasurementModel, instance_from_dict, load_instance,
+                                sample_noise, sample_outliers, save_instance)
 from genrec.solvers import SolverConfig, SolverDiverged
 
 
@@ -911,3 +914,163 @@ class TestCheckDefaults:
         assert report["params"]["trials_per_shape"] == 20
         required = [req for _, req in self._run({"name": "k_majority", "trials": 5})]
         assert required == [False, False, False]   # require_max_rho 0.0, not 0.02
+
+
+def _strings(rows):
+    """A net or instance array field with its numbers written as strings."""
+    return [_strings(r) for r in rows] if isinstance(rows, list) else str(rows)
+
+
+def _booleans(rows):
+    """A net or instance array field with its numbers written as true/false."""
+    return [_booleans(r) for r in rows] if isinstance(rows, list) else rows > 0
+
+
+class TestFileValueTypes:
+    """Net and instance files read their seeds, counts, widths, numbers and
+    arrays through the converters that read configs: a value that int(),
+    float() or a float64 conversion would take is rejected naming the file
+    and the key, before anything is written."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        assert cli.main(["gen-net", "--dims", "2,6", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--outliers", "1", "--out", str(inst_path)]) == 0
+        return net_path, inst_path
+
+    @staticmethod
+    def _edit(path, key, change):
+        """Replace the value at the dotted `key` of the JSON file at `path`
+        by change(value)."""
+        d = json.loads(path.read_text())
+        *outer, last = key.split(".")
+        section = functools.reduce(operator.getitem, outer, d)
+        index = int(last) if isinstance(section, list) else last
+        section[index] = change(section[index])
+        path.write_text(json.dumps(d))
+        return d
+
+    def _rejected(self, capsys, tmp_path, files, bad, message):
+        net_path, inst_path = files
+        load, from_dict = ((load_net, net_from_dict) if bad == net_path
+                           else (load_instance, instance_from_dict))
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            from_dict(json.loads(bad.read_text()))
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{bad}: {message}')}$"):
+            load(bad)
+        out = tmp_path / "out.json"
+        runs = [["solve", "--net", str(net_path), "--instance", str(inst_path),
+                 "--method", "gd-l2sq", "--out", str(out)]]
+        if bad == net_path:
+            runs.append(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--out", str(out)])
+        for argv in runs:
+            capsys.readouterr()
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"genrec: error: {bad}: {message}\n", argv
+            assert captured.out == "" and not out.exists(), argv
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "7", "seed must be an integer, got '7'"),
+        ("seed", 7.9, "seed must be an integer, got 7.9"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("dims", [2, 6.5], "dims[1] must be an integer, got 6.5")])
+    def test_net_values(self, files, tmp_path, capsys, key, value, message):
+        """int() would load the seeds as 7, 7 and 1."""
+        self._edit(files[0], key, lambda _: value)
+        self._rejected(capsys, tmp_path, files, files[0], message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "9", "seed must be an integer, got '9'"),
+        ("seed", 9.5, "seed must be an integer, got 9.5"),
+        ("meta.l", True, "meta.l must be an integer, got True"),
+        ("meta.noise_target", "0.1", "meta.noise_target must be a number, got '0.1'"),
+        ("meta.seeds.model", -1, "meta.seeds.model must be a non-negative integer, got -1")])
+    def test_instance_values(self, files, tmp_path, capsys, key, value, message):
+        """int() and float() would load meta.l as 1 (the instance's count),
+        the seed as 9 and the noise target as 0.1."""
+        self._edit(files[1], key, lambda _: value)
+        self._rejected(capsys, tmp_path, files, files[1], message)
+
+    @pytest.mark.parametrize("change, what", [(_strings, "strings"), (_booleans, "true/false")])
+    @pytest.mark.parametrize("file, key", [
+        (0, "weights.0"), (0, "biases.0"), (1, "z0"), (1, "x0"), (1, "M"), (1, "e"),
+        (1, "eta"), (1, "y")])
+    def test_array_entries_that_are_not_numbers(self, files, tmp_path, capsys, file, key,
+                                                change, what):
+        """A float64 conversion would read "1.0" as 1.0 and true as 1.0."""
+        self._edit(files[file], key, change)
+        name = key.replace(".0", "[0]")
+        self._rejected(capsys, tmp_path, files, files[file],
+                       f"{name} must hold only numbers, got {what}")
+
+    def test_integral_float_seed_and_round_trips(self, files, tmp_path):
+        net_path, inst_path = files
+        for path, load, save in ((net_path, load_net, save_net),
+                                 (inst_path, load_instance, save_instance)):
+            again = tmp_path / f"again-{path.name}"
+            save(load(path), again)
+            assert again.read_bytes() == path.read_bytes()
+        assert load_net(net_path).seed == 0
+        self._edit(net_path, "seed", lambda _: 7.0)
+        assert load_net(net_path).seed == 7
+        self._edit(inst_path, "seed", lambda _: 0.0)
+        assert load_instance(inst_path).seed == 0
+
+
+class TestOutlierRangeEntries:
+    """float() would read true as 1.0 and "5000" as 5000.0; each entry must
+    be a number."""
+
+    @pytest.mark.parametrize("value_range", [[True, 2], ["5000", "10000"]])
+    def test_measurement_model(self, value_range):
+        with pytest.raises(ValueError, match=re.escape(
+                f"outlier range must be two numbers (lo, hi), got {value_range!r}")):
+            MeasurementModel(m=8, n=6, outlier_count=1, outlier_range=value_range)
+
+    @pytest.mark.parametrize("value_range", [[True, 2], ["5000", "10000"]])
+    def test_sweep_config(self, tmp_path, capsys, value_range):
+        config = _tiny_sweep(**{"measurement.outlier_range": value_range})
+        message = f"outlier range must be two numbers (lo, hi), got {value_range!r}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            run_sweep(ExperimentSpec.from_dict(config))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert one_error_line(capsys) == f"genrec: error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+
+class TestSolverEntries:
+    """A sweep config's solver entry that SolverConfig rejects is named by
+    its index; `solve --config` reads one entry and keeps its message."""
+
+    @pytest.mark.parametrize("solvers, message", [
+        ([{"method": "admm-l1"}, {"method": "gd-l1sq", "max_iters": 0}],
+         "solvers[1]: max_iters and restarts must be >= 1"),
+        ([{"method": "gd-l2sq", "rhoo": 1}], "solvers[0]: unknown solver config keys ['rhoo']")])
+    def test_sweep_config_names_the_entry(self, tmp_path, capsys, solvers, message):
+        config = _tiny_sweep(solvers=solvers)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ExperimentSpec.from_dict(config)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert one_error_line(capsys) == f"genrec: error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_solve_config_keeps_its_message(self, tmp_path, capsys):
+        net_path, inst_path = tmp_path / "net.json", tmp_path / "inst.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"max_iters": 0}))
+        assert cli.main(["gen-net", "--dims", "3,8", "--out", str(net_path)]) == 0
+        assert cli.main(["gen-instance", "--net", str(net_path), "--m", "6",
+                         "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", "--net", str(net_path), "--instance", str(inst_path),
+                         "--method", "admm-l1", "--config", str(cfg_path)]) == 2
+        assert one_error_line(capsys) == "genrec: error: max_iters and restarts must be >= 1\n"
